@@ -469,7 +469,15 @@ struct FrameEngine::Impl {
       frame.resolved = true;
     }
     frame.cv.notify_all();
-    if (frame.options.on_frame) frame.options.on_frame(frame.result);
+    // The hook leaves the frame before it runs and dies when it returns:
+    // its captures (a serve request that holds this frame's handle, say)
+    // must not stay reachable through the frame, or the two keep each
+    // other alive forever.
+    if (std::function<void(const FrameResult&)> on_frame =
+            std::move(frame.options.on_frame)) {
+      frame.options.on_frame = nullptr;
+      on_frame(frame.result);
+    }
   }
 
   /// Counts one tile down; the worker that brings the count to zero

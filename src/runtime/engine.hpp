@@ -111,9 +111,13 @@ struct SubmitOptions {
   /// Frame-resolution hook, called exactly once in the resolving worker
   /// thread after the result is assembled and waiters have been released.
   /// The reference stays valid as long as any FrameHandle to the frame is
-  /// alive. The multi-tenant serving layer uses it as its submit-side
-  /// completion signal (free an admission slot, update per-tenant SLOs)
-  /// without parking a waiter thread per frame. Must not throw.
+  /// alive. The engine drops the hook once it has fired: its captures are
+  /// destroyed when the call returns, however long handles to the frame
+  /// live, so a capture may hold the frame's own handle without forming an
+  /// ownership cycle. The multi-tenant serving layer uses it as its
+  /// submit-side completion signal (free an admission slot, update
+  /// per-tenant SLOs) without parking a waiter thread per frame. Must not
+  /// throw.
   std::function<void(const FrameResult&)> on_frame;
 
   /// When true, submit() registers the frame but enqueues no tiles; the

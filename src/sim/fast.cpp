@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <sstream>
 
 #include "stencil/golden.hpp"
@@ -21,6 +20,14 @@ namespace nup::sim {
 namespace {
 
 constexpr std::int64_t kNever = kNeverMatches;
+
+/// Longest run of firing cycles one block transfer retires: the lane
+/// buffers hold this many values per kernel reference. A fixed bound, not
+/// an option -- it trades buffer size against per-block overhead and never
+/// changes an observable.
+constexpr std::int64_t kMaxRun = 256;
+
+using VecKernelMode = FastPlan::LaneInfo::Mode;
 
 /// Ring buffer of data values only: the point of the token at the head is
 /// recovered from the consumer filter's stream position, so tokens shrink
@@ -69,10 +76,10 @@ struct FastFifo {
     count -= n;
   }
 
-  /// Pushes `n` values from src. Requires count + n <= capacity. The wide
+  /// Pushes `n` values from src. Requires count + n <= capacity. The block
   /// path pops before pushing (like the scalar firing cycle), so occupancy
-  /// never exceeds the value it had entering the batch and max_fill is
-  /// untouched -- a batch is only entered at steady occupancy.
+  /// never exceeds the value it had entering the run and max_fill is
+  /// untouched -- a run is only entered at steady occupancy.
   void push_block(const double* src, std::int64_t n) {
     const std::size_t cap = values.size();
     std::size_t tail = head + static_cast<std::size_t>(count);
@@ -98,8 +105,8 @@ struct FastFilter {
   std::int64_t in_pos = 0;    // stream elements consumed so far
   std::int64_t next_match = kNever;  // stream position of out's point
   /// Contiguous stream ranks starting at next_match (scanner run length):
-  /// >= W means the next W output points match W consecutive stream
-  /// elements, one of the wide-step preconditions.
+  /// >= R means the next R output points match R consecutive stream
+  /// elements, one of the block-run preconditions.
   std::int64_t match_run = 0;
   int segment = -1;           // feed index when this filter heads a segment
 
@@ -137,18 +144,16 @@ bool aligned_with_iteration(const RowProgram& iter, const RowProgram& out,
 }
 
 // ---------------------------------------------------------------------------
-// W-wide weighted-sum kernel. All variants evaluate, for every lane l,
+// Block weighted-sum kernel. All variants evaluate, for every lane l,
 //   out[l] = sum_k weights[k] * lanes[k*width + l]
 // in ascending k with one multiply-accumulate per term -- the same
 // per-lane operation sequence as make_weighted_sum's scalar loop. Whether
 // the scalar loop compiled to separate mul+add or to fused fma depends on
-// the build's contraction rules, so FastSim picks the variant at
-// construction by probing each candidate against the program's actual
+// the build's contraction rules, so compile_fast_plan picks the variant
+// once per plan by probing each candidate against the program's actual
 // KernelFn on random vectors and falls back to per-lane kernel calls when
 // none is bit-identical. Correctness therefore never depends on compiler
 // flags; only the fast path's speed does.
-
-enum class VecKernelMode { kPerLane, kScalarMulAdd, kScalarFma, kAvx2 };
 
 void weighted_sum_muladd(const double* lanes, const double* weights,
                          std::size_t refs, std::int64_t width, double* out) {
@@ -179,8 +184,9 @@ void weighted_sum_fma(const double* lanes, const double* weights,
 __attribute__((target("avx2,fma"))) void weighted_sum_avx2(
     const double* lanes, const double* weights, std::size_t refs,
     std::int64_t width, double* out) {
+  const std::int64_t vector_end = width - width % 4;
   std::int64_t l = 0;
-  for (; l + 4 <= width; l += 4) {
+  for (; l < vector_end; l += 4) {
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t k = 0; k < refs; ++k) {
       const __m256d v = _mm256_loadu_pd(lanes + k * width + l);
@@ -223,19 +229,18 @@ void run_vec_kernel(VecKernelMode mode, const double* lanes,
 }
 
 /// Picks the fastest vector variant that is bit-identical to `kernel` on
-/// deterministic pseudo-random probes (64 lanes' worth of values per
-/// variant); kPerLane when none is -- e.g. a kernel compiled with an
-/// association the candidates do not reproduce.
+/// deterministic pseudo-random probes (one full lane block per variant);
+/// kPerLane when none is -- e.g. a kernel compiled with an association the
+/// candidates do not reproduce.
 VecKernelMode probe_vec_kernel(const stencil::KernelFn& kernel,
-                               const std::vector<double>& weights,
-                               std::int64_t width) {
+                               const std::vector<double>& weights) {
   const std::size_t refs = weights.size();
-  if (refs == 0 || width <= 1) return VecKernelMode::kPerLane;
+  if (refs == 0) return VecKernelMode::kPerLane;
   // The probe is a safety net on top of the structural guarantee (the
   // canonical kernel is itself an fma chain, see make_weighted_sum): a
   // candidate that differs from the kernel anywhere is overwhelmingly
   // unlikely to match all of these lanes bit-for-bit.
-  const std::int64_t probe_lanes = std::max<std::int64_t>(width, 256);
+  const std::int64_t probe_lanes = kMaxRun;
   std::vector<double> lanes(refs * static_cast<std::size_t>(probe_lanes));
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
   for (double& v : lanes) {
@@ -269,6 +274,24 @@ VecKernelMode probe_vec_kernel(const stencil::KernelFn& kernel,
   return VecKernelMode::kPerLane;
 }
 
+/// Block-kernel facts of `program`'s kernel: its recorded weights and the
+/// fastest vector variant bit-identical to it (kPerLane when the kernel is
+/// opaque or no variant reproduces it).
+FastPlan::LaneInfo probe_lanes(const stencil::StencilProgram& program) {
+  FastPlan::LaneInfo lanes;
+  lanes.weights = program.weighted_sum_weights();
+  if (lanes.weights.size() == program.total_references()) {
+    lanes.mode = probe_vec_kernel(program.kernel(), lanes.weights);
+  }
+  return lanes;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 struct FastSystem {
   const arch::MemorySystem* design = nullptr;
   const RowProgram* input_prog = nullptr;  // streamed hull (plan-owned)
@@ -279,7 +302,7 @@ struct FastSystem {
   std::vector<unsigned char> synthetic;
   std::vector<FastFifo> fifos;
   std::vector<FastFilter> filters;
-  /// lane_slot[k]: row of filter k's W-element block in the Impl's lane
+  /// lane_slot[k]: row of filter k's R-element block in the Impl's lane
   /// matrix = the kernel's reference slot (arrays then refs, source order).
   std::vector<std::size_t> lane_slot;
 
@@ -315,14 +338,17 @@ struct FastSim::Impl {
   std::int64_t last_fire_cycle = 0;
   std::vector<double> gathered;  // kernel argument scratch
 
-  // W-wide execution state (inert when width == 1).
-  std::int64_t width = 1;       ///< micro-cycles a wide step may retire
+  // Block execution state (inert when options.vectorize is off).
+  std::int64_t width = 1;       ///< micro-cycles per machine cycle (W)
+  std::int64_t run_cap = 0;     ///< longest run per block; multiple of W
   std::int64_t last_width = 1;  ///< micro-cycles the last step() retired
-  std::int64_t datapath_cycles = 0;  ///< step() invocations (machine cycles)
-  VecKernelMode vec_mode = VecKernelMode::kPerLane;
-  std::vector<double> weights;   ///< slot order; empty -> per-lane kernel
-  std::vector<double> lane_vals;  ///< refs x width lane matrix, slot-major
-  std::vector<double> lane_out;   ///< width kernel outputs
+  std::int64_t datapath_cycles = 0;  ///< machine cycles retired
+  /// Block-kernel mode: the plan's, or `own_lanes` when this program's
+  /// kernel is not the one the plan was probed with.
+  const FastPlan::LaneInfo* lanes = nullptr;
+  FastPlan::LaneInfo own_lanes;
+  std::vector<double> lane_vals;  ///< refs x R lane matrix, slot-major
+  std::vector<double> lane_out;   ///< R kernel outputs
   poly::IntVec lane_point;        ///< per-lane point scratch
 
   bool done() const { return result.kernel_fires == total_iterations; }
@@ -337,8 +363,8 @@ struct FastSim::Impl {
   void commit_kernel();
   void record_trace(bool fire);
   std::string describe_stall() const;
-  bool batch_ready(FastSystem& sys);
-  bool try_wide_step();
+  bool fire_run(std::int64_t limit);
+  bool scalar_cycle();
   bool step();
 };
 
@@ -375,19 +401,7 @@ std::shared_ptr<const FastPlan> compile_fast_plan(
   // with respect to this program object; kernel() is then a pure read for
   // every concurrent simulation that shares the plan.
   (void)program.kernel();
-  plan->lanes.width = std::max<std::int64_t>(1, design.datapath_width);
-  plan->lanes.min_row_span = std::numeric_limits<std::int64_t>::max();
-  for (const RowProgram::Row& row : plan->iteration.rows) {
-    for (const poly::Interval& iv : row.intervals) {
-      plan->lanes.min_row_span =
-          std::min(plan->lanes.min_row_span, iv.hi - iv.lo + 1);
-    }
-  }
-  if (plan->iteration.rows.empty()) plan->lanes.min_row_span = 0;
-  plan->lanes.weights = program.weighted_sum_weights();
-  if (plan->lanes.weights.size() != program.total_references()) {
-    plan->lanes.weights.clear();
-  }
+  plan->lanes = probe_lanes(program);
   return plan;
 }
 
@@ -453,10 +467,18 @@ FastSim::FastSim(const stencil::StencilProgram& program,
     sys.moved.assign(n, 0.0);
   }
 
-  im.width = options.vectorize
-                 ? std::max<std::int64_t>(1, design.datapath_width)
-                 : 1;
-  if (im.width > 1) {
+  if (options.vectorize) {
+    im.width = std::max<std::int64_t>(1, design.datapath_width);
+    im.run_cap = std::max(im.width, kMaxRun - kMaxRun % im.width);
+    // The design cache shares one plan among programs that differ only in
+    // their kernel. A kernel is a weighted sum exactly when it records its
+    // weights, so equal weight bits mean the plan's probe holds for this
+    // kernel too; any other kernel is probed on its own.
+    im.lanes = &im.plan->lanes;
+    if (!same_bits(program.weighted_sum_weights(), im.lanes->weights)) {
+      im.own_lanes = probe_lanes(program);
+      im.lanes = &im.own_lanes;
+    }
     const std::size_t refs = program.total_references();
     std::size_t base = 0;
     for (std::size_t s = 0; s < im.systems.size(); ++s) {
@@ -467,13 +489,8 @@ FastSim::FastSim(const stencil::StencilProgram& program,
       }
       base += sys.filters.size();
     }
-    im.lane_vals.assign(refs * static_cast<std::size_t>(im.width), 0.0);
-    im.lane_out.assign(static_cast<std::size_t>(im.width), 0.0);
-    im.weights = im.plan->lanes.weights;
-    if (im.weights.size() == refs && refs > 0) {
-      im.vec_mode = probe_vec_kernel(program.kernel(), im.weights, im.width);
-    }
-    if (im.vec_mode == VecKernelMode::kPerLane) im.weights.clear();
+    im.lane_vals.resize(refs * static_cast<std::size_t>(im.run_cap));
+    im.lane_out.resize(static_cast<std::size_t>(im.run_cap));
   }
 
   im.result.fifo_max_fill.resize(design.systems.size());
@@ -736,140 +753,145 @@ std::string FastSim::Impl::describe_stall() const {
   return out.str();
 }
 
-/// Side-effect-free test that every filter of `sys` is about to fire for
-/// `width` consecutive micro-cycles: match established and running for W
-/// consecutive stream ranks, W output points left in the row interval,
-/// heads with W streamable points from a time-invariant feed, non-heads
-/// with a non-empty upstream FIFO (occupancy is invariant across firing
-/// cycles, so one element now means one element on every batched cycle).
-bool FastSim::Impl::batch_ready(FastSystem& sys) {
-  const std::size_t n = sys.filters.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    const FastFilter& filter = sys.filters[k];
-    if (!filter.out.is_valid) return false;
-    if (filter.in_pos != filter.next_match) return false;
-    if (filter.match_run < width) return false;
-    if (filter.out.remaining_in_interval() < width) return false;
-    if (filter.segment >= 0) {
-      if (!filter.in.is_valid ||
-          filter.in.remaining_in_interval() < width) {
-        return false;
-      }
-      if (!sys.synthetic[filter.segment]) {
-        ExternalFeed& feed = *sys.feeds[filter.segment];
-        if (!feed.time_invariant()) return false;
-        lane_point = filter.in.point();
-        for (std::int64_t l = 0; l < width; ++l) {
-          if (!feed.available(lane_point)) return false;
-          ++lane_point.back();
-        }
-      }
-    } else if (sys.fifos[k - 1].count <= 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Retires `width` firing micro-cycles in one wide step, or does nothing
-/// and returns false. Preconditions guarantee every filter fires on all W
-/// cycles, so the batched state transition is exactly W scalar
+/// Retires the longest run of firing cycles that qualifies -- at most
+/// `limit`, rounded down to a multiple of the datapath width -- as one
+/// block transfer, or changes nothing and returns false when fewer than W
+/// cycles qualify. A run of R cycles qualifies when every filter of every
+/// chain provably fires on each of them: its match is established and runs
+/// for R consecutive stream ranks, R output points are left in its row
+/// interval, a head has R points left in its input interval from a
+/// synthetic or time-invariant feed that serves all of them now, a
+/// non-head has a non-empty upstream FIFO (occupancy is invariant across
+/// firing cycles, so one element now means one element on every cycle of
+/// the run); and the kernel cursor has R points left in its interval.
+///
+/// The batched state transition is then exactly R scalar
 /// commit_fire/commit_kernel rounds: each uncut FIFO between firing
-/// filters sees one pop + one push per cycle (occupancy invariant), and
-/// the values a filter consumes are the FIFO's take = min(count, W)
-/// oldest elements followed by the first W - take values its upstream
-/// neighbour consumed this same batch (pushed at cycle j, popped at cycle
-/// j + count). The FIFO afterwards holds the last `take` upstream values.
-bool FastSim::Impl::try_wide_step() {
-  if (!kernel_cursor.is_valid ||
-      kernel_cursor.remaining_in_interval() < width) {
-    return false;
-  }
-  if (cycle + width > options.max_cycles) return false;
+/// filters sees one pop + one push per cycle, and the values a filter
+/// consumes are the FIFO's take = min(count, R) oldest elements followed by
+/// the first R - take values its upstream neighbour consumed this same run
+/// (pushed at cycle j, popped at cycle j + count). The FIFO afterwards
+/// holds the last `take` upstream values.
+bool FastSim::Impl::fire_run(std::int64_t limit) {
   if (options.trace_cycles > 0 && cycle < options.trace_cycles) return false;
   if (options.validate && !ports_structurally_valid) return false;
-  for (FastSystem& sys : systems) {
-    if (!batch_ready(sys)) return false;
+  if (!kernel_cursor.is_valid) return false;
+  std::int64_t n = std::min({limit, options.max_cycles - cycle,
+                             kernel_cursor.remaining_in_interval()});
+  // Structural bounds first; feed availability is then only queried over
+  // the surviving prefix.
+  for (const FastSystem& sys : systems) {
+    for (std::size_t k = 0; k < sys.filters.size(); ++k) {
+      if (n < width) return false;
+      const FastFilter& filter = sys.filters[k];
+      if (!filter.out.is_valid || filter.in_pos != filter.next_match) {
+        return false;
+      }
+      n = std::min({n, filter.match_run, filter.out.remaining_in_interval()});
+      if (filter.segment >= 0) {
+        n = std::min(n, filter.in.remaining_in_interval());  // 0: exhausted
+        if (!sys.synthetic[filter.segment] &&
+            !sys.feeds[filter.segment]->time_invariant()) {
+          return false;
+        }
+      } else if (sys.fifos[k - 1].count == 0) {
+        return false;
+      }
+    }
   }
+  for (const FastSystem& sys : systems) {
+    for (const FastFilter& filter : sys.filters) {
+      if (filter.segment < 0 || sys.synthetic[filter.segment]) continue;
+      ExternalFeed& feed = *sys.feeds[filter.segment];
+      lane_point = filter.in.point();
+      std::int64_t ready = 0;
+      while (ready < n && feed.available(lane_point)) {
+        ++ready;
+        ++lane_point.back();
+      }
+      n = ready;
+    }
+  }
+  if (n < width) return false;
+  n -= n % width;
 
   const std::int64_t start = cycle;
-  cycle += width;
-  const std::size_t w = static_cast<std::size_t>(width);
+  cycle += n;
+  const std::size_t len = static_cast<std::size_t>(n);
   for (FastSystem& sys : systems) {
-    const std::size_t n = sys.filters.size();
-    for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t k = 0; k < sys.filters.size(); ++k) {
       FastFilter& filter = sys.filters[k];
-      double* block = lane_vals.data() + sys.lane_slot[k] * w;
+      double* block = lane_vals.data() + sys.lane_slot[k] * len;
       if (filter.segment >= 0) {
         lane_point = filter.in.point();
         if (sys.synthetic[filter.segment]) {
-          for (std::int64_t l = 0; l < width; ++l) {
+          for (std::size_t l = 0; l < len; ++l) {
             block[l] = stencil::synthetic_value(
                 options.seed, sys.design->array_index, lane_point);
             ++lane_point.back();
           }
         } else {
           ExternalFeed& feed = *sys.feeds[filter.segment];
-          for (std::int64_t l = 0; l < width; ++l) {
+          for (std::size_t l = 0; l < len; ++l) {
             block[l] = feed.read(lane_point);
             ++lane_point.back();
           }
         }
-        filter.in.advance_by(width);
+        filter.in.advance_by(n);
       } else {
         FastFifo& fifo = sys.fifos[k - 1];
-        const double* upstream =
-            lane_vals.data() + sys.lane_slot[k - 1] * w;
-        const std::int64_t take = std::min(fifo.count, width);
+        const double* upstream = lane_vals.data() + sys.lane_slot[k - 1] * len;
+        const std::int64_t take = std::min(fifo.count, n);
         fifo.pop_block(take, block);
         std::memcpy(block + take, upstream,
-                    static_cast<std::size_t>(width - take) * sizeof(double));
-        fifo.push_block(upstream + (width - take), take);
+                    static_cast<std::size_t>(n - take) * sizeof(double));
+        fifo.push_block(upstream + (n - take), take);
       }
-      filter.in_pos += width;
-      filter.out.advance_by(width);
+      filter.in_pos += n;
+      filter.out.advance_by(n);
       filter.reseek();
     }
   }
 
-  // W kernel fires: the vectorized weighted sum when the probe proved it
-  // bit-identical, otherwise one kernel call per lane.
-  if (!weights.empty()) {
-    run_vec_kernel(vec_mode, lane_vals.data(), weights.data(),
-                   weights.size(), width, lane_out.data());
+  // R kernel fires: the vectorized weighted sum when the plan's probe
+  // proved it bit-identical, otherwise one kernel call per lane.
+  if (lanes->mode != VecKernelMode::kPerLane) {
+    run_vec_kernel(lanes->mode, lane_vals.data(), lanes->weights.data(),
+                   lanes->weights.size(), n, lane_out.data());
   } else {
-    const std::size_t refs = gathered.size();
-    for (std::int64_t l = 0; l < width; ++l) {
-      for (std::size_t r = 0; r < refs; ++r) {
-        gathered[r] = lane_vals[r * w + static_cast<std::size_t>(l)];
+    for (std::size_t l = 0; l < len; ++l) {
+      for (std::size_t r = 0; r < gathered.size(); ++r) {
+        gathered[r] = lane_vals[r * len + l];
       }
-      lane_out[static_cast<std::size_t>(l)] = program->kernel()(gathered);
+      lane_out[l] = program->kernel()(gathered);
     }
   }
   if (options.record_outputs) {
     result.outputs.insert(result.outputs.end(), lane_out.begin(),
-                          lane_out.end());
+                          lane_out.begin() + n);
   }
   if (output_callback) {
     lane_point = kernel_cursor.point();
-    for (std::int64_t l = 0; l < width; ++l) {
-      output_callback(lane_point, lane_out[static_cast<std::size_t>(l)]);
+    for (std::size_t l = 0; l < len; ++l) {
+      output_callback(lane_point, lane_out[l]);
       ++lane_point.back();
     }
   }
-  kernel_cursor.advance_by(width);
+  kernel_cursor.advance_by(n);
   if (result.kernel_fires == 0) result.fill_latency = start + 1;
-  result.kernel_fires += width;
+  result.kernel_fires += n;
   last_fire_cycle = cycle;
-  result.drain_start = cycle;  // every micro-cycle streamed off-chip data
+  result.drain_start = cycle;  // every cycle of the run streamed off-chip
   stall_cycles = 0;
-  last_width = width;
+  datapath_cycles += n / width;
+  last_width = n;
   return true;
 }
 
-bool FastSim::Impl::step() {
+/// One scalar micro-cycle: the fallback for every cycle fire_run declines
+/// (fill, stalls, row boundaries, traced cycles, timed feeds).
+bool FastSim::Impl::scalar_cycle() {
   ++datapath_cycles;
-  if (width > 1 && try_wide_step()) return true;
   last_width = 1;
   ++cycle;
   const bool tracing =
@@ -925,12 +947,16 @@ bool FastSim::Impl::step() {
   return progress;
 }
 
+bool FastSim::Impl::step() {
+  return (run_cap > 0 && fire_run(width)) || scalar_cycle();
+}
+
 bool FastSim::step() { return impl_->step(); }
 
 SimResult FastSim::run() {
   Impl& im = *impl_;
   while (!im.done() && im.cycle < im.options.max_cycles) {
-    im.step();
+    if (im.run_cap == 0 || !im.fire_run(im.run_cap)) im.scalar_cycle();
     if (im.stall_cycles >= im.options.stall_limit) {
       im.result.deadlocked = true;
       im.result.deadlock_detail = im.describe_stall();

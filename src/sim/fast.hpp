@@ -28,17 +28,19 @@ struct FastPlan {
     std::vector<RowProgram> filter_out;  ///< D_Ax per filter, filter order
   };
 
-  /// Lane blocking of the W-wide datapath, precomputed at compile time so
-  /// the per-step batching test never re-derives it.
+  /// Block-kernel facts of the plan, resolved once per compiled design so
+  /// neither construction nor the batched firing path re-derives them.
   struct LaneInfo {
-    std::int64_t width = 1;  ///< design.datapath_width
-    /// Shortest row interval across the iteration program: rows narrower
-    /// than the width can never fill a vector and always retire through the
-    /// scalar remainder path. Purely informational (benches report it).
-    std::int64_t min_row_span = 0;
-    /// Kernel weights in reference slot order when the kernel's linear
-    /// structure is known (StencilProgram::weighted_sum_weights); empty
-    /// forces the per-lane kernel-call path on wide steps.
+    /// How a block of kernel lanes is evaluated: one of the weighted-sum
+    /// variants compile_fast_plan's probe proved bit-identical to the
+    /// program's KernelFn, or one kernel call per lane.
+    enum class Mode { kPerLane, kScalarMulAdd, kScalarFma, kAvx2 };
+
+    Mode mode = Mode::kPerLane;
+    /// Weights of the probed kernel in reference slot order
+    /// (StencilProgram::weighted_sum_weights); empty for an opaque kernel.
+    /// A FastSim whose program records other weights -- the design cache
+    /// shares a plan among kernels of one shape -- probes its own kernel.
     std::vector<double> weights;
   };
 
@@ -53,7 +55,8 @@ struct FastPlan {
 
 /// Compiles the shared plan for one (program, design) pair. Also forces the
 /// lazy default kernel of `program` to materialize, so concurrent FastSim
-/// runs over the same program object never mutate it. Throws
+/// runs over the same program object never mutate it, and probes the block
+/// kernel variants against it once (LaneInfo::mode). Throws
 /// SimulationError when the design's system count does not match the
 /// program's input arrays.
 std::shared_ptr<const FastPlan> compile_fast_plan(
@@ -74,19 +77,22 @@ std::shared_ptr<const FastPlan> compile_fast_plan(
 /// a per-filter input counter replaces the per-token points of the
 /// reference backend.
 ///
-/// On designs with datapath_width W > 1 (and SimOptions::vectorize), a
-/// step() may retire up to W scalar micro-cycles at once: when every filter
-/// of every chain is provably about to fire for W consecutive cycles (all
-/// cursors have >= W points left in their row interval, every match run
-/// covers W consecutive stream ranks, feeds are time-invariant), the wide
-/// path moves W-element blocks through the FIFOs and evaluates W kernel
-/// lanes per fire -- with an AVX2 inner loop when the host supports it and
-/// the kernel's weighted-sum structure is known, bit-identically to the
-/// scalar path (verified at construction by probing, and continuously by
-/// run_differential). Boundary/remainder cells, stall cycles, traced
-/// cycles and timed feeds always take the scalar path, so every
-/// scalar-cycle observable (cycles, fires, occupancies, outputs, stalls)
-/// is invariant in W; only SimResult::datapath_cycles shrinks.
+/// Steady state is retired in blocks (SimOptions::vectorize, the default):
+/// when every filter of every chain is provably about to fire for R
+/// consecutive cycles -- each match run, output interval, head input
+/// interval and the kernel cursor's interval cover R points, feeds are
+/// time-invariant and serve the next R points now, no traced cycle and no
+/// per-fire port validation is pending -- the R firing cycles move as one
+/// block transfer through the FIFOs and the kernel evaluates R lanes at
+/// once, with an AVX2 inner loop when the host supports it and the
+/// kernel's weighted-sum structure is known, bit-identically to the scalar
+/// path (proved by probing in compile_fast_plan, and continuously by
+/// run_differential). run() takes R up to a fixed lane-buffer bound;
+/// step() takes exactly one machine cycle, R = datapath_width W. R is
+/// always a multiple of W. Fill, stall and boundary cycles, traced cycles
+/// and timed feeds take the one-cycle scalar path, so every scalar-cycle
+/// observable (cycles, fires, occupancies, outputs, stalls) is invariant
+/// in R and W; only SimResult::datapath_cycles shrinks with W.
 class FastSim {
  public:
   FastSim(const stencil::StencilProgram& program,
@@ -111,13 +117,16 @@ class FastSim {
   void set_output_callback(
       std::function<void(const poly::IntVec&, double)> callback);
 
-  /// Advances one clock cycle. Returns true if any module made progress.
+  /// Advances one machine cycle: W scalar micro-cycles when the next W
+  /// cycles all fire, otherwise one. Returns true if any module made
+  /// progress.
   bool step();
 
   bool done() const;
 
-  /// Runs until completion, deadlock, or the cycle limit; same contract as
-  /// AcceleratorSim::run.
+  /// Runs until completion, deadlock, or the cycle limit; same contract
+  /// (and the same SimResult, field for field) as a loop of step() calls
+  /// and AcceleratorSim::run, but retires whole firing runs per iteration.
   SimResult run();
 
   // Lockstep observers (used by the differential checker).
@@ -125,8 +134,8 @@ class FastSim {
   std::int64_t kernel_fires() const;
   std::int64_t fifo_fill(std::size_t system, std::size_t fifo) const;
   /// Scalar micro-cycles the most recent step() retired: the datapath
-  /// width on a wide step, 1 on the scalar path. The differential checker
-  /// steps the reference this many times to stay in lockstep.
+  /// width on a batched step, 1 on the scalar path. The differential
+  /// checker steps the reference this many times to stay in lockstep.
   std::int64_t last_step_width() const;
 
  private:

@@ -33,10 +33,11 @@ struct SimOptions {
   bool validate = true;
   /// Keep all kernel outputs in the result (memory-heavy for big grids).
   bool record_outputs = true;
-  /// Allow the fast backend to retire up to design.datapath_width scalar
-  /// micro-cycles per wide step (see SimResult::datapath_cycles). Never
-  /// changes any scalar-cycle observable; disable to force the scalar path
-  /// even on wide designs (useful when isolating vector-path bugs).
+  /// Allow the fast backend to retire runs of firing cycles as blocks:
+  /// design.datapath_width micro-cycles per step() (see
+  /// SimResult::datapath_cycles), longer runs per run(). Never changes any
+  /// scalar-cycle observable; disable to force the one-cycle scalar path
+  /// at every width (useful when isolating block-path bugs).
   bool vectorize = true;
 };
 

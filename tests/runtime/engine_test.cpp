@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <sstream>
@@ -593,11 +595,12 @@ TEST(FrameEngine, OnFrameHookFiresForCancelledFrames) {
   const stencil::StencilProgram p = slow_program(10, 12, milliseconds(1));
 
   std::atomic<int> calls{0};
-  std::atomic<bool> saw_cancelled{false};
+  std::promise<bool> first_call_saw_cancelled;
+  std::future<bool> saw_cancelled = first_call_saw_cancelled.get_future();
   SubmitOptions so;
-  so.on_frame = [&calls, &saw_cancelled](const FrameResult& result) {
-    ++calls;
-    saw_cancelled = result.cancelled;
+  so.on_frame = [&calls,
+                 &first_call_saw_cancelled](const FrameResult& result) {
+    if (++calls == 1) first_call_saw_cancelled.set_value(result.cancelled);
   };
   FrameHandle running = engine.submit(p, 1);
   FrameHandle queued = engine.submit(p, 2, std::move(so));
@@ -605,9 +608,38 @@ TEST(FrameEngine, OnFrameHookFiresForCancelledFrames) {
   running.wait();
   ASSERT_TRUE(queued.wait().cancelled);
   // A cancelled frame resolves through the same hook: the serving layer
-  // frees its window slot no matter how the frame died.
+  // frees its window slot no matter how the frame died. The hook runs
+  // after waiters are released, so wait() does not order it; the promise
+  // it fulfils does.
+  ASSERT_EQ(saw_cancelled.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_TRUE(saw_cancelled.get());
+  engine.shutdown(FrameEngine::Drain::kDrainAll);
   EXPECT_EQ(calls.load(), 1);
-  EXPECT_TRUE(saw_cancelled.load());
+}
+
+TEST(FrameEngine, OnFrameHookIsReleasedOnceItFires) {
+  EngineOptions options;
+  options.threads = 2;
+  options.tile_shape = {8, 0};
+  FrameEngine engine(options);
+  const stencil::StencilProgram p = stencil::denoise_2d(24, 32);
+
+  // A hook capture that holds the frame's own handle (as the serving layer
+  // does) would otherwise keep frame and capture alive forever.
+  auto capture = std::make_shared<int>(0);
+  SubmitOptions so;
+  so.on_frame = [capture](const FrameResult&) { ++*capture; };
+  FrameHandle handle = engine.submit(p, 3, std::move(so));
+  expect_frame_matches_golden(p, handle.wait());
+  // Joining the workers orders the hook (it runs after waiters are
+  // released) before the checks.
+  engine.shutdown(FrameEngine::Drain::kDrainAll);
+  EXPECT_EQ(*capture, 1);
+  // The handle keeps the frame alive, but the frame no longer owns the
+  // hook: the capture's use_count is back to this test's reference.
+  ASSERT_TRUE(handle.valid());
+  EXPECT_EQ(capture.use_count(), 1);
 }
 
 TEST(FrameEngine, WaitForTimesOutWhileBusyThenResolves) {

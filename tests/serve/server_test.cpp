@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -279,6 +280,31 @@ TEST(StencilServer, CancelQueuedResolvesWithoutTouchingEngine) {
   EXPECT_EQ(stats.cancelled, 1);
   // The cancelled request never became an engine frame.
   EXPECT_EQ(server.engine().stats().frames_submitted, 1);
+}
+
+TEST(StencilServer, ServedFrameStateIsFreedAfterWaitAndHandleRelease) {
+  // Every served frame used to stay reachable through a cycle: engine
+  // frame -> on_frame hook -> serve request -> frame handle. The tile plan
+  // counts the owners: each live request and each live engine frame holds
+  // a reference to it.
+  ServeOptions options;
+  options.engine.threads = 2;
+  StencilServer server(options);
+  const stencil::StencilProgram p = stencil::jacobi_2d(16, 20);
+  server.add_kernel(p);
+  const std::shared_ptr<const runtime::TilePlan> plan =
+      server.engine().plan_for(p);
+  const long owners_before = plan.use_count();
+
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SubmitResult r = server.submit("a", "JACOBI_2D", seed);
+    ASSERT_TRUE(r.admitted());
+    EXPECT_TRUE(r.handle.wait().ok());
+  }  // every request handle is released here
+  // Shutdown joins the dispatcher and the engine workers (the last
+  // transient owners) and drops the design pins.
+  server.shutdown();
+  EXPECT_EQ(plan.use_count(), owners_before);
 }
 
 TEST(StencilServer, CancelRunningFrameAfterAdmission) {

@@ -1,7 +1,7 @@
-// Differential fuzz harness for the W-wide vectorized fast backend. The
+// Differential fuzz harness for the batched and W-wide fast backend. The
 // sweep drives >= 400 random stencils (rect, sheared, triangular; ragged
 // inner widths including rows narrower than W and rows with width % W != 0)
-// through W in {1, 4, 8}, each checked three ways:
+// through W in {1, 4, 8}, each checked four ways:
 //
 //   1. run_differential: the wide fast backend against the scalar
 //      reference, cycle-exact at every batch boundary;
@@ -9,7 +9,10 @@
 //      field except datapath_cycles must be bit-identical;
 //   3. datapath_cycles bounds: ceil(cycles / W) <= datapath_cycles <=
 //      cycles, with real batching (strict inequality) on vector-friendly
-//      domains.
+//      domains;
+//   4. a fresh run() (whole firing runs per iteration) against a loop of
+//      step() calls (one machine cycle each, datapath_cycles included) and
+//      against AcceleratorSim::run().
 //
 // The same binary passes with AVX2 (-march=native) and with the scalar
 // fallback (-DNUP_DISABLE_AVX2); CI runs both, plus ASan/UBSan.
@@ -19,10 +22,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "arch/builder.hpp"
+#include "sim/prefetch.hpp"
 #include "sim/simulator.hpp"
 #include "stencil/gallery.hpp"
 #include "stencil/golden.hpp"
@@ -79,7 +84,36 @@ void expect_results_match(const SimResult& scalar, const SimResult& wide,
   }
 }
 
-/// The full three-way check of one (program, W) point; returns false when
+/// Finishes `sim` through step() calls -- one machine cycle each -- and
+/// finalizes the result with run(), which resumes from the stepped state:
+/// a no-op when done, the deciding stall cycle when deadlocked (the loop
+/// leaves it to run(), as run_differential does).
+SimResult run_by_steps(FastSim& sim, const SimOptions& options) {
+  std::int64_t stalls = 0;
+  while (!sim.done() && sim.cycle() < options.max_cycles &&
+         stalls + 1 < options.stall_limit) {
+    stalls = sim.step() ? 0 : stalls + 1;
+  }
+  return sim.run();
+}
+
+/// Check 4: batched run(), a step() loop and the reference agree on every
+/// SimResult field; datapath_cycles must match between the two fast runs.
+void expect_run_matches_steps(const stencil::StencilProgram& p,
+                              const arch::AcceleratorDesign& design,
+                              const std::string& label) {
+  const SimOptions options;
+  FastSim batched(p, design, options);
+  FastSim stepped(p, design, options);
+  const SimResult a = batched.run();
+  const SimResult b = run_by_steps(stepped, options);
+  const SimResult ref = AcceleratorSim(p, design, options).run();
+  expect_results_match(b, a, label + " run() vs step()");
+  EXPECT_EQ(a.datapath_cycles, b.datapath_cycles) << label;
+  expect_results_match(ref, a, label + " run() vs reference");
+}
+
+/// The full four-way check of one (program, W) point; returns false when
 /// the width was (correctly) rejected for this program.
 bool check_program_at_width(const stencil::StencilProgram& p,
                             std::int64_t width) {
@@ -108,6 +142,7 @@ bool check_program_at_width(const stencil::StencilProgram& p,
   EXPECT_LE(wide.datapath_cycles, wide.cycles) << label;
   EXPECT_GE(wide.datapath_cycles, (wide.cycles + width - 1) / width)
       << label;
+  expect_run_matches_steps(p, design, label);
   return true;
 }
 
@@ -219,6 +254,263 @@ TEST(VectorFuzzGallery, TimedFeedForcesScalarPathButAgrees) {
   // Every step stayed scalar: a queue feed's availability may change
   // between micro-cycles, so batching would be unsound.
   EXPECT_EQ(b.datapath_cycles, b.cycles);
+}
+
+// ---- batched run() over external feeds ---------------------------------
+
+/// Time-invariant feed of synthetic values that counts its reads. Output
+/// callbacks compare the count between consecutive outputs: a batched run
+/// reads its whole block before emitting its outputs, so only its first
+/// output follows a read, while every scalar firing cycle reads first.
+/// With a `hole`, points from that one on are never available: the run
+/// wedges there, identically in every backend.
+class CountingFeed final : public ExternalFeed {
+ public:
+  CountingFeed(std::size_t array, std::int64_t* reads,
+               const poly::IntVec* hole)
+      : array_(array), reads_(reads), hole_(hole) {}
+
+  bool available(const poly::IntVec& h) override {
+    return hole_ == nullptr || h < *hole_;
+  }
+  double read(const poly::IntVec& h) override {
+    ++*reads_;
+    return stencil::synthetic_value(7, array_, h);
+  }
+  bool time_invariant() const override { return true; }
+
+ private:
+  std::size_t array_;
+  std::int64_t* reads_;
+  const poly::IntVec* hole_;
+};
+
+enum class FeedKind {
+  kInvariant,     ///< CountingFeed
+  kHole,          ///< CountingFeed that stops serving mid-row
+  kPrefetch,      ///< latency-bound PrefetchFeed over a CountingFeed
+  kPrefetchFast,  ///< PrefetchFeed that runs ahead of the consumer
+  kQueue,         ///< preloaded QueueFeed
+};
+
+/// Serving stops at the middle of the stream's middle row, where the
+/// chain is in steady state.
+poly::IntVec hole_point(const arch::AcceleratorDesign& design) {
+  std::vector<poly::IntVec> points;
+  design.systems[0].input_domain.for_each(
+      [&](const poly::IntVec& h) { points.push_back(h); });
+  const poly::IntVec& middle = points[points.size() / 2];
+  std::vector<poly::IntVec> row;
+  for (const poly::IntVec& h : points) {
+    if (std::equal(h.begin(), h.end() - 1, middle.begin())) row.push_back(h);
+  }
+  return row[row.size() / 2];
+}
+
+/// Installs a fresh `kind` feed on every segment of `sim`; every feed
+/// serves synthetic_value(7, ...) so all kinds compute the same outputs.
+template <typename Sim>
+void install_feeds(Sim& sim, const arch::AcceleratorDesign& design,
+                   FeedKind kind, std::int64_t* reads,
+                   const poly::IntVec* hole) {
+  for (std::size_t a = 0; a < design.systems.size(); ++a) {
+    for (std::size_t s = 0; s < design.systems[a].stream_count(); ++s) {
+      auto counting = std::make_shared<CountingFeed>(
+          a, reads, kind == FeedKind::kHole ? hole : nullptr);
+      std::shared_ptr<ExternalFeed> feed = counting;
+      if (kind == FeedKind::kPrefetch) {
+        feed = std::make_shared<PrefetchFeed>(counting,
+                                              PrefetchFeed::Config{});
+      } else if (kind == FeedKind::kPrefetchFast) {
+        PrefetchFeed::Config config;
+        config.latency_cycles = 2;
+        config.words_per_cycle = 2;
+        feed = std::make_shared<PrefetchFeed>(counting, config);
+      } else if (kind == FeedKind::kQueue) {
+        auto queue = std::make_shared<QueueFeed>();
+        design.systems[a].input_domain.for_each([&](const poly::IntVec& h) {
+          queue->push(h, stencil::synthetic_value(7, a, h));
+        });
+        feed = queue;
+      }
+      sim.set_feed(a, s, feed);
+    }
+  }
+}
+
+struct FeedRun {
+  SimResult result;
+  /// Host iterations run() took: one per batched run or scalar cycle.
+  std::int64_t iterations = 0;
+};
+
+/// Runs `p` on `design` over `kind` feeds with a fresh FastSim (from
+/// `plan` when given), by run() or by a step() loop, and counts run()'s
+/// iterations from the outputs that follow a feed read (batched runs and
+/// scalar firing cycles) plus the cycles that fired nothing.
+FeedRun run_with_feeds(const stencil::StencilProgram& p,
+                       const arch::AcceleratorDesign& design, FeedKind kind,
+                       bool by_steps,
+                       std::shared_ptr<const FastPlan> plan = nullptr) {
+  const SimOptions options;
+  std::int64_t reads = 0;
+  std::int64_t reads_at_output = -1;
+  std::int64_t fresh_outputs = 0;
+  const poly::IntVec hole = hole_point(design);
+  if (!plan) plan = compile_fast_plan(p, design);
+  FastSim sim(p, design, plan, options);
+  install_feeds(sim, design, kind, &reads, &hole);
+  sim.set_output_callback([&](const poly::IntVec&, double) {
+    if (reads != reads_at_output) ++fresh_outputs;
+    reads_at_output = reads;
+  });
+  FeedRun run;
+  run.result = by_steps ? run_by_steps(sim, options) : sim.run();
+  run.iterations =
+      fresh_outputs + (run.result.cycles - run.result.kernel_fires);
+  return run;
+}
+
+SimResult reference_with_feeds(const stencil::StencilProgram& p,
+                               const arch::AcceleratorDesign& design,
+                               FeedKind kind) {
+  std::int64_t reads = 0;
+  const poly::IntVec hole = hole_point(design);
+  AcceleratorSim ref(p, design, SimOptions{});
+  install_feeds(ref, design, kind, &reads, &hole);
+  return ref.run();
+}
+
+TEST(BatchedRun, InvariantFeedBatchesAndMatchesStepsAndReference) {
+  const std::vector<stencil::StencilProgram> programs = {
+      stencil::denoise_2d(24, 32), stencil::sobel_2d(12, 16),
+      stencil::triangular_demo(18)};
+  for (const stencil::StencilProgram& p : programs) {
+    for (std::int64_t w : kWidths) {
+      const std::string label = p.name() + " W=" + std::to_string(w);
+      const arch::AcceleratorDesign design = widened_design(p, w);
+      const FeedRun batched =
+          run_with_feeds(p, design, FeedKind::kInvariant, false);
+      const FeedRun stepped =
+          run_with_feeds(p, design, FeedKind::kInvariant, true);
+      const SimResult ref =
+          reference_with_feeds(p, design, FeedKind::kInvariant);
+      EXPECT_FALSE(batched.result.deadlocked) << label;
+      expect_results_match(stepped.result, batched.result, label);
+      EXPECT_EQ(stepped.result.datapath_cycles,
+                batched.result.datapath_cycles)
+          << label;
+      expect_results_match(ref, batched.result, label + " vs reference");
+      // A time-invariant feed must not force the scalar path.
+      EXPECT_LT(batched.iterations, batched.result.cycles) << label;
+    }
+  }
+}
+
+TEST(BatchedRun, InvariantFeedAvailabilityBoundsTheRun) {
+  // A time-invariant feed may still lack points: a run must stop at the
+  // first point the feed does not serve, so the wedge (cycle, stall
+  // accounting, diagnostic) is the reference's.
+  const stencil::StencilProgram p = stencil::denoise_2d(24, 32);
+  for (std::int64_t w : kWidths) {
+    const std::string label = "hole W=" + std::to_string(w);
+    const arch::AcceleratorDesign design = widened_design(p, w);
+    const FeedRun batched = run_with_feeds(p, design, FeedKind::kHole, false);
+    const FeedRun stepped = run_with_feeds(p, design, FeedKind::kHole, true);
+    const SimResult ref = reference_with_feeds(p, design, FeedKind::kHole);
+    EXPECT_TRUE(batched.result.deadlocked) << label;
+    expect_results_match(stepped.result, batched.result, label);
+    EXPECT_EQ(stepped.result.datapath_cycles, batched.result.datapath_cycles)
+        << label;
+    expect_results_match(ref, batched.result, label + " vs reference");
+    EXPECT_LT(batched.iterations, batched.result.cycles) << label;
+  }
+}
+
+TEST(BatchedRun, UnprovenPortsKeepPerFireValidation) {
+  // Without the plan's structural port proof, SimOptions::validate checks
+  // every fire's ports, which only the scalar path does: run() must not
+  // batch, and still agrees with the batched proven run.
+  const stencil::StencilProgram p = stencil::denoise_2d(24, 32);
+  const arch::AcceleratorDesign design = widened_design(p, 1);
+  auto unproven = std::make_shared<FastPlan>(*compile_fast_plan(p, design));
+  ASSERT_TRUE(unproven->ports_structurally_valid);
+  unproven->ports_structurally_valid = false;
+  const FeedRun checked =
+      run_with_feeds(p, design, FeedKind::kInvariant, false, unproven);
+  const FeedRun batched =
+      run_with_feeds(p, design, FeedKind::kInvariant, false);
+  expect_results_match(batched.result, checked.result, "unproven ports");
+  EXPECT_EQ(checked.iterations, checked.result.cycles);
+  EXPECT_LT(batched.iterations, batched.result.cycles);
+}
+
+TEST(BatchedRun, SharedPlanKeepsEachProgramsKernel) {
+  // The design cache hands one plan to every kernel of one shape: a
+  // program whose kernel differs from the one the plan was probed with
+  // must still be evaluated with its own kernel.
+  const stencil::StencilProgram a = stencil::denoise_2d(24, 32);
+  stencil::StencilProgram reweighted = a;
+  std::vector<double> weights(a.total_references());
+  for (std::size_t k = 0; k < weights.size(); ++k) {
+    weights[k] = 0.25 + 0.125 * static_cast<double>(k);
+  }
+  reweighted.set_weighted_sum(weights);
+  stencil::StencilProgram opaque = a;
+  opaque.set_kernel([](const std::vector<double>& v) {
+    return *std::max_element(v.begin(), v.end());
+  });
+  for (std::int64_t w : kWidths) {
+    const arch::AcceleratorDesign design = widened_design(a, w);
+    const std::shared_ptr<const FastPlan> plan = compile_fast_plan(a, design);
+    for (const stencil::StencilProgram* p : {&reweighted, &opaque}) {
+      FastSim sim(*p, design, plan, SimOptions{});
+      EXPECT_EQ(sim.run().outputs, stencil::run_golden(*p, 1).outputs)
+          << "W=" << w << (p == &opaque ? " opaque" : " reweighted");
+    }
+  }
+}
+
+TEST(BatchedRun, W1DenoiseRetiresFewerIterationsThanCycles) {
+  // The batch path must run at the default width too: DENOISE rows are
+  // long and rectangular, so nearly every row's steady state retires in a
+  // handful of blocks.
+  const stencil::StencilProgram p = stencil::denoise_2d(96, 128);
+  const arch::AcceleratorDesign design = widened_design(p, 1);
+  const FeedRun run = run_with_feeds(p, design, FeedKind::kInvariant, false);
+  EXPECT_FALSE(run.result.deadlocked);
+  EXPECT_EQ(run.result.datapath_cycles, run.result.cycles);
+  EXPECT_LT(run.iterations * 8, run.result.cycles)
+      << run.iterations << " iterations for " << run.result.cycles
+      << " cycles";
+}
+
+TEST(BatchedRun, TimedFeedsFallBackToScalarCycles) {
+  // PrefetchFeed and QueueFeed are not time-invariant: availability may
+  // change between cycles, so every cycle must stay observable. run() then
+  // takes one iteration per cycle and still matches the step() loop and
+  // the reference exactly.
+  const stencil::StencilProgram p = stencil::sobel_2d(12, 16);
+  for (FeedKind kind :
+       {FeedKind::kPrefetch, FeedKind::kPrefetchFast, FeedKind::kQueue}) {
+    for (std::int64_t w : kWidths) {
+      const std::string label = "feed kind " +
+                                std::to_string(static_cast<int>(kind)) +
+                                " W=" + std::to_string(w);
+      const arch::AcceleratorDesign design = widened_design(p, w);
+      const FeedRun batched = run_with_feeds(p, design, kind, false);
+      const FeedRun stepped = run_with_feeds(p, design, kind, true);
+      const SimResult ref = reference_with_feeds(p, design, kind);
+      EXPECT_FALSE(batched.result.deadlocked) << label;
+      expect_results_match(stepped.result, batched.result, label);
+      expect_results_match(ref, batched.result, label + " vs reference");
+      EXPECT_EQ(batched.result.datapath_cycles, batched.result.cycles)
+          << label;
+      if (kind != FeedKind::kQueue) {  // a queue feed is not counted
+        EXPECT_EQ(batched.iterations, batched.result.cycles) << label;
+      }
+    }
+  }
 }
 
 TEST(VectorFuzzGallery, WidthWiderThanAnyRowIsRejected) {
