@@ -1,6 +1,8 @@
 #include "pipeline/stage_buffer.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -34,6 +36,17 @@ bool in_box(const poly::IntVec& point, const poly::IntVec& lo,
   return true;
 }
 
+/// Lanes [begin, end) of the row of `n` points starting at inner
+/// coordinate `first` whose inner coordinate lies in [lo, hi].
+std::pair<std::int64_t, std::int64_t> in_box_lanes(std::int64_t first,
+                                                   std::int64_t n,
+                                                   std::int64_t lo,
+                                                   std::int64_t hi) {
+  const std::int64_t begin = std::clamp<std::int64_t>(lo - first, 0, n);
+  const std::int64_t end = std::clamp<std::int64_t>(hi - first + 1, begin, n);
+  return {begin, end};
+}
+
 }  // namespace
 
 SliceFeed::SliceFeed(Slice slice)
@@ -44,6 +57,28 @@ double SliceFeed::read(const poly::IntVec& h) {
   if (!in_box(h, slice_.lo, slice_.hi)) return 0.0;
   return (*slice_.data)[static_cast<std::size_t>(
       box_index(h, slice_.lo, strides_))];
+}
+
+void SliceFeed::read_row(const poly::IntVec& h, std::int64_t n,
+                         double* out) {
+  const std::size_t inner = h.size() - 1;
+  std::int64_t base = 0;
+  for (std::size_t d = 0; d < inner; ++d) {
+    if (h[d] < slice_.lo[d] || h[d] > slice_.hi[d]) {
+      std::fill_n(out, n, 0.0);
+      return;
+    }
+    base += (h[d] - slice_.lo[d]) * strides_[d];
+  }
+  const auto [begin, end] =
+      in_box_lanes(h[inner], n, slice_.lo[inner], slice_.hi[inner]);
+  std::fill(out, out + begin, 0.0);
+  if (end > begin) {
+    const double* row = slice_.data->data() + base;
+    std::memcpy(out + begin, row + (h[inner] + begin - slice_.lo[inner]),
+                static_cast<std::size_t>(end - begin) * sizeof(double));
+  }
+  std::fill(out + end, out + n, 0.0);
 }
 
 BoundaryFeed::BoundaryFeed(std::shared_ptr<sim::ExternalFeed> inner,
@@ -69,6 +104,31 @@ double BoundaryFeed::read(const poly::IntVec& h) {
       // hull padding the consumer's data filters discard.
       return 0.0;
   }
+}
+
+void BoundaryFeed::read_row(const poly::IntVec& h, std::int64_t n,
+                            double* out) {
+  const std::size_t inner = h.size() - 1;
+  bool outer_in_box = true;
+  for (std::size_t d = 0; d < inner; ++d) {
+    outer_in_box = outer_in_box && h[d] >= lo_[d] && h[d] <= hi_[d];
+  }
+  const auto [begin, end] =
+      outer_in_box ? in_box_lanes(h[inner], n, lo_[inner], hi_[inner])
+                   : std::pair<std::int64_t, std::int64_t>{n, n};
+  poly::IntVec point = h;
+  const auto read_points = [&](std::int64_t from, std::int64_t to) {
+    for (std::int64_t l = from; l < to; ++l) {
+      point[inner] = h[inner] + l;
+      out[l] = read(point);
+    }
+  };
+  read_points(0, begin);
+  if (end > begin) {
+    point[inner] = h[inner] + begin;
+    inner_->read_row(point, end - begin, out + begin);
+  }
+  read_points(end, n);
 }
 
 StageBuffer::StageBuffer(

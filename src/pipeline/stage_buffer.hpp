@@ -42,6 +42,12 @@ class SliceFeed final : public sim::ExternalFeed {
   /// Slice data is resident and immutable for the tile's whole run, so the
   /// fast backend may batch wide steps over this feed.
   bool time_invariant() const override { return true; }
+  std::int64_t available_row(const poly::IntVec&, std::int64_t n) override {
+    return n;
+  }
+  /// Clips the row to the slice box and copies the in-box span; lanes
+  /// outside the box read 0.0.
+  void read_row(const poly::IntVec& h, std::int64_t n, double* out) override;
 
  private:
   Slice slice_;
@@ -68,6 +74,12 @@ class BoundaryFeed final : public sim::ExternalFeed {
   bool available(const poly::IntVec&) override { return true; }
   double read(const poly::IntVec& h) override;
   bool time_invariant() const override { return inner_->time_invariant(); }
+  std::int64_t available_row(const poly::IntVec&, std::int64_t n) override {
+    return n;
+  }
+  /// Serves the row's in-box span with one row read of the inner feed; only
+  /// the lanes past the box edges go through the policy point by point.
+  void read_row(const poly::IntVec& h, std::int64_t n, double* out) override;
 
  private:
   std::shared_ptr<sim::ExternalFeed> inner_;

@@ -561,10 +561,15 @@ struct FrameEngine::Impl {
       double* const outputs = frame.result.outputs.data();
       const std::int64_t* const ranks = tile.output_ranks.data();
       std::size_t k = 0;
-      sim.set_output_callback(
-          [outputs, ranks, &k](const poly::IntVec&, double value) {
-            outputs[ranks[k++]] = value;
-          });
+      sim.set_output_sink([outputs, ranks, &k](const poly::IntVec&,
+                                               const double* values,
+                                               std::int64_t n) {
+        const std::int64_t* const block_ranks = ranks + k;
+        for (std::int64_t l = 0; l < n; ++l) {
+          outputs[block_ranks[l]] = values[l];
+        }
+        k += static_cast<std::size_t>(n);
+      });
       const sim::SimResult r = sim.run();
       // Emitted while the tile span is open, so the frame's flow arrow
       // binds to this tile slice in Perfetto.

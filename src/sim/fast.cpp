@@ -5,7 +5,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "stencil/golden.hpp"
 #include "util/error.hpp"
 
 #if defined(__x86_64__) && !defined(NUP_DISABLE_AVX2)
@@ -296,10 +295,6 @@ struct FastSystem {
   const arch::MemorySystem* design = nullptr;
   const RowProgram* input_prog = nullptr;  // streamed hull (plan-owned)
   std::vector<std::shared_ptr<ExternalFeed>> feeds;  // one per segment
-  /// Nonzero while a segment still uses the constructor-installed
-  /// SyntheticFeed: tick/available are no-ops and read devirtualizes to
-  /// stencil::synthetic_value.
-  std::vector<unsigned char> synthetic;
   std::vector<FastFifo> fifos;
   std::vector<FastFilter> filters;
   /// lane_slot[k]: row of filter k's R-element block in the Impl's lane
@@ -329,7 +324,7 @@ struct FastSim::Impl {
   /// compile time; the per-fire port validation is then a no-op.
   bool ports_structurally_valid = false;
 
-  std::function<void(const poly::IntVec&, double)> output_callback;
+  OutputSink output_sink;
 
   SimResult result;
   std::string stream_point_this_cycle;  // only filled while tracing
@@ -349,11 +344,9 @@ struct FastSim::Impl {
   FastPlan::LaneInfo own_lanes;
   std::vector<double> lane_vals;  ///< refs x R lane matrix, slot-major
   std::vector<double> lane_out;   ///< R kernel outputs
-  poly::IntVec lane_point;        ///< per-lane point scratch
 
   bool done() const { return result.kernel_fires == total_iterations; }
 
-  double read_source(FastSystem& sys, FastFilter& filter);
   void tick_feeds();
   bool hypothesize(const FastSystem& sys) const;
   void fill_scratch(FastSystem& sys);
@@ -453,7 +446,6 @@ FastSim::FastSim(const stencil::StencilProgram& program,
     }
     const std::vector<std::size_t> heads = ms.segment_heads();
     sys.feeds.resize(heads.size());
-    sys.synthetic.assign(heads.size(), true);
     for (std::size_t seg = 0; seg < heads.size(); ++seg) {
       FastFilter& head = sys.filters[heads[seg]];
       head.segment = static_cast<int>(seg);
@@ -509,12 +501,27 @@ void FastSim::set_feed(std::size_t array_idx, std::size_t segment,
                        std::shared_ptr<ExternalFeed> feed) {
   FastSystem& sys = impl_->systems.at(array_idx);
   sys.feeds.at(segment) = std::move(feed);
-  sys.synthetic[segment] = false;  // back to the generic virtual protocol
+}
+
+void FastSim::set_output_sink(OutputSink sink) {
+  impl_->output_sink = std::move(sink);
 }
 
 void FastSim::set_output_callback(
     std::function<void(const poly::IntVec&, double)> callback) {
-  impl_->output_callback = std::move(callback);
+  if (!callback) {
+    impl_->output_sink = nullptr;
+    return;
+  }
+  impl_->output_sink = [callback = std::move(callback), point = poly::IntVec()](
+                           const poly::IntVec& first, const double* values,
+                           std::int64_t n) mutable {
+    point = first;
+    for (std::int64_t l = 0; l < n; ++l) {
+      if (l > 0) ++point.back();
+      callback(point, values[l]);
+    }
+  };
 }
 
 bool FastSim::done() const { return impl_->done(); }
@@ -531,19 +538,9 @@ std::int64_t FastSim::fifo_fill(std::size_t system, std::size_t fifo) const {
 
 std::int64_t FastSim::last_step_width() const { return impl_->last_width; }
 
-double FastSim::Impl::read_source(FastSystem& sys, FastFilter& filter) {
-  if (sys.synthetic[filter.segment]) {
-    return stencil::synthetic_value(options.seed, sys.design->array_index,
-                                    filter.in.point());
-  }
-  return sys.feeds[filter.segment]->read(filter.in.point());
-}
-
 void FastSim::Impl::tick_feeds() {
   for (FastSystem& sys : systems) {
-    for (std::size_t seg = 0; seg < sys.feeds.size(); ++seg) {
-      if (!sys.synthetic[seg]) sys.feeds[seg]->tick();
-    }
+    for (const std::shared_ptr<ExternalFeed>& feed : sys.feeds) feed->tick();
   }
 }
 
@@ -562,8 +559,7 @@ bool FastSim::Impl::hypothesize(const FastSystem& sys) const {
     if (filter.out.is_valid) {  // else: done forwarding
       if (filter.segment >= 0) {
         avail = filter.in.is_valid &&
-                (sys.synthetic[filter.segment] != 0 ||
-                 sys.feeds[filter.segment]->available(filter.in.point()));
+                sys.feeds[filter.segment]->available(filter.in.point());
       } else {
         avail = sys.fifos[k - 1].count > 0;
       }
@@ -591,8 +587,7 @@ void FastSim::Impl::fill_scratch(FastSystem& sys) {
     if (filter.out.is_valid) {
       if (filter.segment >= 0) {
         avail = filter.in.is_valid &&
-                (sys.synthetic[filter.segment] != 0 ||
-                 sys.feeds[filter.segment]->available(filter.in.point()));
+                sys.feeds[filter.segment]->available(filter.in.point());
       } else {
         avail = sys.fifos[k - 1].count > 0;
       }
@@ -612,7 +607,7 @@ void FastSim::Impl::commit_fire(FastSystem& sys) {
     sys.advance[k] = 1;
     FastFilter& filter = sys.filters[k];
     if (filter.segment >= 0) {
-      sys.moved[k] = read_source(sys, filter);
+      sys.moved[k] = sys.feeds[filter.segment]->read(filter.in.point());
       filter.in.advance();
     } else {
       sys.moved[k] = sys.fifos[k - 1].pop();
@@ -649,7 +644,7 @@ void FastSim::Impl::commit_stalled(FastSystem& sys) {
     if (!sys.advance[k]) continue;
     FastFilter& filter = sys.filters[k];
     if (filter.segment >= 0) {
-      sys.moved[k] = read_source(sys, filter);
+      sys.moved[k] = sys.feeds[filter.segment]->read(filter.in.point());
       filter.in.advance();
     } else {
       sys.moved[k] = sys.fifos[k - 1].pop();
@@ -698,7 +693,7 @@ void FastSim::Impl::commit_kernel() {
   }
   const double output = program->kernel()(gathered);
   if (options.record_outputs) result.outputs.push_back(output);
-  if (output_callback) output_callback(i, output);
+  if (output_sink) output_sink(i, &output, 1);
   kernel_cursor.advance();
   ++result.kernel_fires;
   if (result.kernel_fires == 1) result.fill_latency = cycle;
@@ -760,7 +755,7 @@ std::string FastSim::Impl::describe_stall() const {
 /// chain provably fires on each of them: its match is established and runs
 /// for R consecutive stream ranks, R output points are left in its row
 /// interval, a head has R points left in its input interval from a
-/// synthetic or time-invariant feed that serves all of them now, a
+/// time-invariant feed whose row query serves all of them now, a
 /// non-head has a non-empty upstream FIFO (occupancy is invariant across
 /// firing cycles, so one element now means one element on every cycle of
 /// the run); and the kernel cursor has R points left in its interval.
@@ -790,26 +785,17 @@ bool FastSim::Impl::fire_run(std::int64_t limit) {
       n = std::min({n, filter.match_run, filter.out.remaining_in_interval()});
       if (filter.segment >= 0) {
         n = std::min(n, filter.in.remaining_in_interval());  // 0: exhausted
-        if (!sys.synthetic[filter.segment] &&
-            !sys.feeds[filter.segment]->time_invariant()) {
-          return false;
-        }
+        if (!sys.feeds[filter.segment]->time_invariant()) return false;
       } else if (sys.fifos[k - 1].count == 0) {
         return false;
       }
     }
   }
+  if (n < width) return false;  // an exhausted head has no row to query
   for (const FastSystem& sys : systems) {
     for (const FastFilter& filter : sys.filters) {
-      if (filter.segment < 0 || sys.synthetic[filter.segment]) continue;
-      ExternalFeed& feed = *sys.feeds[filter.segment];
-      lane_point = filter.in.point();
-      std::int64_t ready = 0;
-      while (ready < n && feed.available(lane_point)) {
-        ++ready;
-        ++lane_point.back();
-      }
-      n = ready;
+      if (filter.segment < 0) continue;
+      n = sys.feeds[filter.segment]->available_row(filter.in.point(), n);
     }
   }
   if (n < width) return false;
@@ -823,20 +809,7 @@ bool FastSim::Impl::fire_run(std::int64_t limit) {
       FastFilter& filter = sys.filters[k];
       double* block = lane_vals.data() + sys.lane_slot[k] * len;
       if (filter.segment >= 0) {
-        lane_point = filter.in.point();
-        if (sys.synthetic[filter.segment]) {
-          for (std::size_t l = 0; l < len; ++l) {
-            block[l] = stencil::synthetic_value(
-                options.seed, sys.design->array_index, lane_point);
-            ++lane_point.back();
-          }
-        } else {
-          ExternalFeed& feed = *sys.feeds[filter.segment];
-          for (std::size_t l = 0; l < len; ++l) {
-            block[l] = feed.read(lane_point);
-            ++lane_point.back();
-          }
-        }
+        sys.feeds[filter.segment]->read_row(filter.in.point(), n, block);
         filter.in.advance_by(n);
       } else {
         FastFifo& fifo = sys.fifos[k - 1];
@@ -870,13 +843,7 @@ bool FastSim::Impl::fire_run(std::int64_t limit) {
     result.outputs.insert(result.outputs.end(), lane_out.begin(),
                           lane_out.begin() + n);
   }
-  if (output_callback) {
-    lane_point = kernel_cursor.point();
-    for (std::size_t l = 0; l < len; ++l) {
-      output_callback(lane_point, lane_out[l]);
-      ++lane_point.back();
-    }
-  }
+  if (output_sink) output_sink(kernel_cursor.point(), lane_out.data(), n);
   kernel_cursor.advance_by(n);
   if (result.kernel_fires == 0) result.fill_latency = start + 1;
   result.kernel_fires += n;

@@ -113,7 +113,19 @@ class FastSim {
   void set_feed(std::size_t array_idx, std::size_t segment,
                 std::shared_ptr<ExternalFeed> feed);
 
-  /// Invoked with every kernel output, in iteration order.
+  /// Receives kernel outputs in iteration order, one block per call:
+  /// values[l] is the output at `first` advanced l steps along the
+  /// innermost axis. A batched firing run delivers its n outputs as one
+  /// block; every other firing cycle delivers a block of one. `first` and
+  /// `values` are only valid during the call.
+  using OutputSink = std::function<void(
+      const poly::IntVec& first, const double* values, std::int64_t n)>;
+
+  /// Installs the output sink, replacing any sink or callback set before.
+  void set_output_sink(OutputSink sink);
+
+  /// Per-point adapter over set_output_sink: invoked with every kernel
+  /// output and its iteration point, in iteration order.
   void set_output_callback(
       std::function<void(const poly::IntVec&, double)> callback);
 

@@ -5,6 +5,31 @@
 
 namespace nup::sim {
 
+std::int64_t ExternalFeed::available_row(const poly::IntVec& h,
+                                         std::int64_t n) {
+  poly::IntVec point = h;
+  std::int64_t ready = 0;
+  while (ready < n && available(point)) {
+    ++ready;
+    ++point.back();
+  }
+  return ready;
+}
+
+void ExternalFeed::read_row(const poly::IntVec& h, std::int64_t n,
+                            double* out) {
+  poly::IntVec point = h;
+  for (std::int64_t l = 0; l < n; ++l) {
+    out[l] = read(point);
+    ++point.back();
+  }
+}
+
+void SyntheticFeed::read_row(const poly::IntVec& h, std::int64_t n,
+                             double* out) {
+  stencil::synthetic_row(seed_, array_index_, h, n, out);
+}
+
 double SyntheticFeed::read(const poly::IntVec& h) {
   return stencil::synthetic_value(seed_, array_index_, h);
 }

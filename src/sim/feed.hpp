@@ -35,6 +35,23 @@ class ExternalFeed {
   /// (PrefetchFeed) or a mid-run producer (QueueFeed) could change state
   /// between the batched micro-cycles, which must stay observable.
   virtual bool time_invariant() const { return false; }
+
+  // Row form of the two queries. A row is the n points h, h + e, ...,
+  // h + (n-1)e, where e is the unit step along the innermost axis of a
+  // non-empty h -- the stretch of the stream a batched firing run consumes. The fast backend
+  // only calls them on time_invariant() feeds, where answering a whole row
+  // at once is indistinguishable from n per-point queries; a timed feed
+  // never sees them. The defaults loop over available()/read(), so every
+  // feed is correct without overriding them; an override must return the
+  // same count and write the same values as that loop.
+
+  /// How many consecutive points of the row starting at `h` are ready now:
+  /// the largest m <= n such that available() holds on each of the first m.
+  virtual std::int64_t available_row(const poly::IntVec& h, std::int64_t n);
+
+  /// Writes the values of the first `n` points of the row starting at `h`
+  /// to out[0..n). Only called when available_row(h, m) returned m >= n.
+  virtual void read_row(const poly::IntVec& h, std::int64_t n, double* out);
 };
 
 /// Deterministic synthetic DRAM: always ready, values from
@@ -48,6 +65,11 @@ class SyntheticFeed final : public ExternalFeed {
   bool available(const poly::IntVec&) override { return true; }
   double read(const poly::IntVec& h) override;
   bool time_invariant() const override { return true; }
+  std::int64_t available_row(const poly::IntVec&, std::int64_t n) override {
+    return n;
+  }
+  /// stencil::synthetic_row: the outer coordinates are hashed once per row.
+  void read_row(const poly::IntVec& h, std::int64_t n, double* out) override;
 
  private:
   std::uint64_t seed_;

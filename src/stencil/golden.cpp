@@ -4,18 +4,45 @@
 
 namespace nup::stencil {
 
+namespace {
+
+/// One SplitMix64-style avalanche round folding coordinate `c` into `x`;
+/// any change to seed, array index, or one coordinate flips roughly half
+/// the output bits.
+inline std::uint64_t mix_coordinate(std::uint64_t x, std::int64_t c) {
+  x += static_cast<std::uint64_t>(c) + 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+inline double to_unit_interval(std::uint64_t x) {
+  return static_cast<double>(x >> 11) * (1.0 / 9007199254740992.0);
+}
+
+}  // namespace
+
 double synthetic_value(std::uint64_t seed, std::size_t array_idx,
                        const poly::IntVec& h) {
-  // SplitMix64-style avalanche over the coordinates; any change to seed,
-  // array index, or one coordinate flips roughly half the output bits.
-  std::uint64_t x = seed ^ (0x9e3779b97f4a7c15ull * (array_idx + 1));
-  for (std::int64_t c : h) {
-    x += static_cast<std::uint64_t>(c) + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
+  double value = 0.0;
+  synthetic_row(seed, array_idx, h, 1, &value);
+  return value;
+}
+
+void synthetic_row(std::uint64_t seed, std::size_t array_idx,
+                   const poly::IntVec& h, std::int64_t n, double* out) {
+  std::uint64_t prefix = seed ^ (0x9e3779b97f4a7c15ull * (array_idx + 1));
+  if (h.empty()) {
+    if (n > 0) out[0] = to_unit_interval(prefix);
+    return;
   }
-  return static_cast<double>(x >> 11) * (1.0 / 9007199254740992.0);
+  for (std::size_t d = 0; d + 1 < h.size(); ++d) {
+    prefix = mix_coordinate(prefix, h[d]);
+  }
+  const std::int64_t inner = h.back();
+  for (std::int64_t l = 0; l < n; ++l) {
+    out[l] = to_unit_interval(mix_coordinate(prefix, inner + l));
+  }
 }
 
 GoldenRun run_golden(const StencilProgram& program, std::uint64_t seed) {

@@ -100,6 +100,37 @@ TEST(FrameEngine, GalleryFramesBitIdenticalToGolden) {
   EXPECT_GE(stats.cache.hits, stats.cache.misses);
 }
 
+TEST(FrameEngine, RowAndColumnTiledFramesBitIdenticalToGolden) {
+  // Each tile's outputs leave the simulator in row blocks and scatter
+  // through its rank table: full-width row bands keep every block
+  // contiguous in the frame, narrow column bands make every block jump a
+  // frame row at each tile row.
+  struct Case {
+    stencil::StencilProgram program;
+    poly::IntVec rows, columns;
+  };
+  const std::vector<Case> cases = {
+      {stencil::denoise_2d(24, 32), {5, 0}, {0, 7}},
+      {stencil::rician_2d(24, 32), {5, 0}, {0, 7}},
+      {stencil::sobel_2d(24, 32), {7, 0}, {0, 5}},
+      {stencil::bicubic_2d(12, 48), {3, 0}, {0, 11}},
+      {stencil::denoise_3d(8, 10, 12), {3, 0, 0}, {0, 0, 5}},
+  };
+  for (const Case& c : cases) {
+    for (const poly::IntVec& shape : {c.rows, c.columns}) {
+      EngineOptions options;
+      options.threads = 2;
+      options.tile_shape = shape;
+      FrameEngine engine(options);
+      const std::shared_ptr<const TilePlan> plan = engine.plan_for(c.program);
+      EXPECT_GT(plan->tiles.size(), 1u)
+          << c.program.name() << " " << poly::to_string(shape);
+      expect_frame_matches_golden(c.program,
+                                  engine.submit(c.program, 41).wait());
+    }
+  }
+}
+
 TEST(FrameEngine, HundredRandomStencilsMatchGolden) {
   EngineOptions options;
   options.threads = 4;

@@ -74,6 +74,15 @@ std::vector<std::string> words_of(const std::string& line) {
   return words;
 }
 
+// Every WAIT reply publishes this checksum; clients compare it against
+// their own golden runs, so its definition is part of the wire protocol.
+TEST(OutputChecksum, ExactValuesArePinned) {
+  EXPECT_EQ(output_checksum({}), 1469598103934665603ull);
+  EXPECT_EQ(output_checksum({0.0, 1.0, -2.5, 0.125, 3.141592653589793, -0.0,
+                             1e-300}),
+            16313862803349971016ull);
+}
+
 TEST(ServeEndpoint, HelloSubmitWaitShipsGoldenChecksum) {
   const stencil::StencilProgram p = stencil::jacobi_2d(20, 24);
   ServeOptions options;

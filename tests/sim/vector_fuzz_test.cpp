@@ -97,20 +97,64 @@ SimResult run_by_steps(FastSim& sim, const SimOptions& options) {
   return sim.run();
 }
 
+/// One kernel output as an output sink or callback delivered it.
+struct Emitted {
+  poly::IntVec point;
+  double value = 0.0;
+};
+
+void expect_emitted_match(const std::vector<Emitted>& expected,
+                          const std::vector<Emitted>& got,
+                          const std::string& label) {
+  ASSERT_EQ(expected.size(), got.size()) << label;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(expected[i].point, got[i].point) << label << " output " << i;
+    ASSERT_EQ(expected[i].value, got[i].value) << label << " output " << i;
+  }
+}
+
 /// Check 4: batched run(), a step() loop and the reference agree on every
 /// SimResult field; datapath_cycles must match between the two fast runs.
+/// The batched run's output sink delivers the (point, value) sequence of
+/// record_outputs, of the reference's per-point callback and of the
+/// stepped run's per-point callback adapter.
 void expect_run_matches_steps(const stencil::StencilProgram& p,
                               const arch::AcceleratorDesign& design,
                               const std::string& label) {
   const SimOptions options;
   FastSim batched(p, design, options);
   FastSim stepped(p, design, options);
+  AcceleratorSim reference(p, design, options);
+  std::vector<Emitted> sunk;
+  std::vector<Emitted> stepped_points;
+  std::vector<Emitted> reference_points;
+  batched.set_output_sink(
+      [&](const poly::IntVec& first, const double* values, std::int64_t n) {
+        poly::IntVec point = first;
+        for (std::int64_t l = 0; l < n; ++l) {
+          if (l > 0) ++point.back();
+          sunk.push_back({point, values[l]});
+        }
+      });
+  stepped.set_output_callback([&](const poly::IntVec& i, double v) {
+    stepped_points.push_back({i, v});
+  });
+  reference.set_output_callback([&](const poly::IntVec& i, double v) {
+    reference_points.push_back({i, v});
+  });
   const SimResult a = batched.run();
   const SimResult b = run_by_steps(stepped, options);
-  const SimResult ref = AcceleratorSim(p, design, options).run();
+  const SimResult ref = reference.run();
   expect_results_match(b, a, label + " run() vs step()");
   EXPECT_EQ(a.datapath_cycles, b.datapath_cycles) << label;
   expect_results_match(ref, a, label + " run() vs reference");
+
+  ASSERT_EQ(sunk.size(), a.outputs.size()) << label;
+  for (std::size_t i = 0; i < sunk.size(); ++i) {
+    ASSERT_EQ(sunk[i].value, a.outputs[i]) << label << " output " << i;
+  }
+  expect_emitted_match(reference_points, sunk, label + " sink vs reference");
+  expect_emitted_match(stepped_points, sunk, label + " sink vs step()");
 }
 
 /// The full four-way check of one (program, W) point; returns false when
