@@ -104,13 +104,10 @@ TilePlan plan_tiles(const stencil::StencilProgram& program,
     tile_program->set_output(program.output_name());
     // Copying the kernel forces the parent's lazy default to materialize
     // here, while planning is single-threaded; the tile program is
-    // immutable (and its kernel a pure read) from now on. Weighted-sum
-    // structure is preserved so tiles stay eligible for the vector path.
-    if (!program.weighted_sum_weights().empty()) {
-      tile_program->set_weighted_sum(program.weighted_sum_weights());
-    } else {
-      tile_program->set_kernel(program.kernel());
-    }
+    // immutable (and its kernel a pure read) from now on. The kernel's
+    // form (weighted sum or block kernel) carries over, so tiles keep the
+    // fast backend's vector and block paths.
+    tile_program->copy_kernel_from(program);
 
     Tile tile;
     tile.lo = std::move(tlo);

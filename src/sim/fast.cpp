@@ -150,9 +150,9 @@ bool aligned_with_iteration(const RowProgram& iter, const RowProgram& out,
 // the scalar loop compiled to separate mul+add or to fused fma depends on
 // the build's contraction rules, so compile_fast_plan picks the variant
 // once per plan by probing each candidate against the program's actual
-// KernelFn on random vectors and falls back to per-lane kernel calls when
-// none is bit-identical. Correctness therefore never depends on compiler
-// flags; only the fast path's speed does.
+// KernelFn on random vectors and falls back to the program's block kernel
+// when none is bit-identical. Correctness therefore never depends on
+// compiler flags; only the fast path's speed does.
 
 void weighted_sum_muladd(const double* lanes, const double* weights,
                          std::size_t refs, std::int64_t width, double* out) {
@@ -342,6 +342,10 @@ struct FastSim::Impl {
   /// kernel is not the one the plan was probed with.
   const FastPlan::LaneInfo* lanes = nullptr;
   FastPlan::LaneInfo own_lanes;
+  /// The program's block kernel, for runs no weighted-sum variant serves.
+  /// Read from the program, never the plan: a cached plan is shared by
+  /// every kernel of one window shape (SOBEL and JACOBI8_2D, say).
+  stencil::BlockKernelFn block_kernel;
   std::vector<double> lane_vals;  ///< refs x R lane matrix, slot-major
   std::vector<double> lane_out;   ///< R kernel outputs
 
@@ -470,6 +474,9 @@ FastSim::FastSim(const stencil::StencilProgram& program,
     if (!same_bits(program.weighted_sum_weights(), im.lanes->weights)) {
       im.own_lanes = probe_lanes(program);
       im.lanes = &im.own_lanes;
+    }
+    if (im.lanes->mode == VecKernelMode::kPerLane) {
+      im.block_kernel = program.block_kernel();
     }
     const std::size_t refs = program.total_references();
     std::size_t base = 0;
@@ -827,17 +834,12 @@ bool FastSim::Impl::fire_run(std::int64_t limit) {
   }
 
   // R kernel fires: the vectorized weighted sum when the plan's probe
-  // proved it bit-identical, otherwise one kernel call per lane.
+  // proved it bit-identical, otherwise the program's block kernel.
   if (lanes->mode != VecKernelMode::kPerLane) {
     run_vec_kernel(lanes->mode, lane_vals.data(), lanes->weights.data(),
                    lanes->weights.size(), n, lane_out.data());
   } else {
-    for (std::size_t l = 0; l < len; ++l) {
-      for (std::size_t r = 0; r < gathered.size(); ++r) {
-        gathered[r] = lane_vals[r * len + l];
-      }
-      lane_out[l] = program->kernel()(gathered);
-    }
+    block_kernel(lane_vals.data(), n, lane_out.data());
   }
   if (options.record_outputs) {
     result.outputs.insert(result.outputs.end(), lane_out.begin(),

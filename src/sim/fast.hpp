@@ -33,7 +33,9 @@ struct FastPlan {
   struct LaneInfo {
     /// How a block of kernel lanes is evaluated: one of the weighted-sum
     /// variants compile_fast_plan's probe proved bit-identical to the
-    /// program's KernelFn, or one kernel call per lane.
+    /// program's KernelFn, or kPerLane: the program's own block kernel
+    /// (StencilProgram::block_kernel), read from the program rather than the
+    /// plan because the design cache shares one plan per window shape.
     enum class Mode { kPerLane, kScalarMulAdd, kScalarFma, kAvx2 };
 
     Mode mode = Mode::kPerLane;

@@ -45,11 +45,17 @@ StencilProgram rician_2d(std::int64_t rows, std::int64_t cols) {
   p.add_input("A", {{-1, 0}, {0, -1}, {0, 1}, {1, 0}});
   // Rician-noise removal uses a nonlinear combination; model the shape with
   // a root-of-squares so the golden/simulated comparison exercises a
-  // non-additive kernel.
-  p.set_kernel([](const std::vector<double>& v) {
-    double acc = 0.0;
-    for (double x : v) acc += 0.25 * x * x;
-    return std::sqrt(acc);
+  // non-additive kernel. Per lane: acc = 0; acc += 0.25 * x * x over the
+  // references in order; sqrt(acc). This file is compiled without FMA
+  // contraction (src/stencil/CMakeLists.txt), so the product is rounded
+  // before the sum in every build and the pinned checksums hold.
+  p.set_block_kernel([](const double* v, std::int64_t n, double* out) {
+    for (std::int64_t l = 0; l < n; ++l) out[l] = 0.0;
+    for (std::int64_t k = 0; k < 4; ++k) {
+      const double* x = v + k * n;
+      for (std::int64_t l = 0; l < n; ++l) out[l] += 0.25 * x[l] * x[l];
+    }
+    for (std::int64_t l = 0; l < n; ++l) out[l] = std::sqrt(out[l]);
   });
   return p;
 }
@@ -65,10 +71,22 @@ StencilProgram sobel_2d(std::int64_t rows, std::int64_t cols) {
                     {1, -1},
                     {1, 0},
                     {1, 1}});
-  p.set_kernel([](const std::vector<double>& v) {
-    const double gx = (v[2] + 2.0 * v[4] + v[7]) - (v[0] + 2.0 * v[3] + v[5]);
-    const double gy = (v[5] + 2.0 * v[6] + v[7]) - (v[0] + 2.0 * v[1] + v[2]);
-    return std::abs(gx) + std::abs(gy);
+  p.set_block_kernel([](const double* v, std::int64_t n, double* out) {
+    const double* v0 = v;
+    const double* v1 = v0 + n;
+    const double* v2 = v1 + n;
+    const double* v3 = v2 + n;
+    const double* v4 = v3 + n;
+    const double* v5 = v4 + n;
+    const double* v6 = v5 + n;
+    const double* v7 = v6 + n;
+    for (std::int64_t l = 0; l < n; ++l) {
+      const double gx = (v2[l] + 2.0 * v4[l] + v7[l]) -
+                        (v0[l] + 2.0 * v3[l] + v5[l]);
+      const double gy = (v5[l] + 2.0 * v6[l] + v7[l]) -
+                        (v0[l] + 2.0 * v1[l] + v2[l]);
+      out[l] = std::abs(gx) + std::abs(gy);
+    }
   });
   return p;
 }
@@ -212,14 +230,16 @@ StencilProgram life_2d(std::int64_t rows, std::int64_t cols) {
   for (std::int64_t a = -1; a <= 1; ++a) {
     for (std::int64_t b = -1; b <= 1; ++b) offsets.push_back({a, b});
   }
-  p.add_input("A", std::move(offsets));  // center is v[4]
-  p.set_kernel([](const std::vector<double>& v) {
-    int neighbours = 0;
-    for (std::size_t k = 0; k < v.size(); ++k) {
-      if (k != 4 && v[k] > 0.5) ++neighbours;
+  p.add_input("A", std::move(offsets));  // center is slot 4
+  p.set_block_kernel([](const double* v, std::int64_t n, double* out) {
+    for (std::int64_t l = 0; l < n; ++l) {
+      int neighbours = 0;
+      for (std::int64_t k = 0; k < 9; ++k) {
+        if (k != 4 && v[k * n + l] > 0.5) ++neighbours;
+      }
+      const bool alive = v[4 * n + l] > 0.5;
+      out[l] = (neighbours == 3 || (alive && neighbours == 2)) ? 1.0 : 0.0;
     }
-    const bool alive = v[4] > 0.5;
-    return (neighbours == 3 || (alive && neighbours == 2)) ? 1.0 : 0.0;
   });
   return p;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/error.hpp"
 
@@ -99,6 +100,82 @@ const KernelFn& StencilProgram::kernel() const {
     default_kernel_ = make_weighted_sum(std::move(weights));
   }
   return default_kernel_;
+}
+
+void StencilProgram::set_block_kernel(BlockKernelFn kernel) {
+  const std::size_t refs = total_references();
+  if (refs == 0) {
+    throw Error("set_block_kernel on '" + name_ +
+                "': the program has no references");
+  }
+  // One block call over a deterministic pseudo-random probe must equal the
+  // n = 1 calls lane by lane, bit for bit: the simulator's batched path
+  // calls the block form while golden and every scalar cycle call kernel().
+  constexpr std::size_t kProbeLanes = 256;
+  std::vector<double> values(refs * kProbeLanes);
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (double& v : values) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    v = static_cast<double>(state >> 11) * 0x1.0p-52 - 1.0;  // [-1, 1)
+  }
+  std::vector<double> block(kProbeLanes);
+  kernel(values.data(), kProbeLanes, block.data());
+  std::vector<double> column(refs);
+  for (std::size_t l = 0; l < kProbeLanes; ++l) {
+    for (std::size_t k = 0; k < refs; ++k) {
+      column[k] = values[k * kProbeLanes + l];
+    }
+    double single = 0.0;
+    kernel(column.data(), 1, &single);
+    if (std::memcmp(&single, &block[l], sizeof(double)) != 0) {
+      throw Error("set_block_kernel on '" + name_ + "': lane " +
+                  std::to_string(l) +
+                  " of a 256-lane block call differs from its n = 1 call");
+    }
+  }
+  kernel_ = [kernel, refs](const std::vector<double>& v) {
+    if (v.size() != refs) {
+      throw Error("block kernel arity mismatch: got " +
+                  std::to_string(v.size()) + " values for " +
+                  std::to_string(refs) + " references");
+    }
+    double out = 0.0;
+    kernel(v.data(), 1, &out);
+    return out;
+  };
+  block_ = std::move(kernel);
+  weights_.clear();
+}
+
+void StencilProgram::copy_kernel_from(const StencilProgram& other) {
+  if (other.total_references() != total_references()) {
+    throw Error("copy_kernel_from: '" + other.name_ + "' has " +
+                std::to_string(other.total_references()) + " references, '" +
+                name_ + "' has " + std::to_string(total_references()));
+  }
+  const KernelFn& kernel = other.kernel();  // materializes a lazy default
+  if (other.block_) {
+    kernel_ = kernel;
+    block_ = other.block_;
+    weights_.clear();
+  } else if (!other.weighted_sum_weights().empty()) {
+    set_weighted_sum(other.weighted_sum_weights());
+  } else {
+    set_kernel(kernel);
+  }
+}
+
+BlockKernelFn StencilProgram::block_kernel() const {
+  if (block_) return block_;
+  return [kernel = kernel(), refs = total_references()](
+             const double* values, std::int64_t n, double* out) {
+    const auto lanes = static_cast<std::size_t>(n);
+    std::vector<double> lane(refs);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (std::size_t k = 0; k < refs; ++k) lane[k] = values[k * lanes + l];
+      out[l] = kernel(lane);
+    }
+  };
 }
 
 const std::vector<double>& StencilProgram::weighted_sum_weights() const {

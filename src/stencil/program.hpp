@@ -31,6 +31,18 @@ struct InputArray {
 /// arrays then references, in source order -- into the output value.
 using KernelFn = std::function<double(const std::vector<double>&)>;
 
+/// Block form of a kernel: evaluates `n` iterations ("lanes") in one call.
+/// `values` is the refs x n lane matrix in slot-major order --
+/// `values[k * n + l]` is reference slot k (the KernelFn argument order) of
+/// lane l -- and `out[l]` receives lane l's output. Contract: lane l's output
+/// depends only on column l, and equals bit for bit what the call with
+/// n = 1 on that column returns, whatever n is and wherever lane l sits in
+/// the block. StencilProgram::set_block_kernel checks this once on a probe
+/// block, so a loop the compiler vectorizes or contracts (FMA) differently
+/// from its scalar remainder is rejected instead of silently forking bits.
+using BlockKernelFn =
+    std::function<void(const double* values, std::int64_t n, double* out)>;
+
 /// Builds a KernelFn computing sum(weights[k] * values[k]).
 KernelFn make_weighted_sum(std::vector<double> weights);
 
@@ -49,6 +61,7 @@ class StencilProgram {
   void set_output(std::string name) { output_ = std::move(name); }
   void set_kernel(KernelFn kernel) {
     kernel_ = std::move(kernel);
+    block_ = nullptr;
     weights_.clear();  // an opaque kernel carries no weight structure
   }
 
@@ -58,7 +71,21 @@ class StencilProgram {
   void set_weighted_sum(std::vector<double> weights) {
     weights_ = weights;
     kernel_ = make_weighted_sum(std::move(weights));
+    block_ = nullptr;
   }
+
+  /// Installs a kernel given in block form (see BlockKernelFn). Its arity is
+  /// total_references(), which must be non-zero. kernel() becomes the
+  /// n = 1 case of the same function -- one definition serves golden, the
+  /// reference simulator and every fast-backend cycle. Throws Error when the
+  /// program has no references or when one block call over a deterministic
+  /// 256-lane probe differs in any bit from 256 calls with n = 1.
+  void set_block_kernel(BlockKernelFn kernel);
+
+  /// Carries `other`'s kernel over in whatever form it has: weighted sum,
+  /// block form or point kernel (materializing `other`'s lazy default).
+  /// Both programs must have the same number of references.
+  void copy_kernel_from(const StencilProgram& other);
 
   /// The weights when the kernel is a known weighted sum (installed via
   /// set_weighted_sum, or the lazy equal-weight default); empty for opaque
@@ -77,6 +104,11 @@ class StencilProgram {
 
   /// Kernel used for golden execution; defaults to an equal-weight sum.
   const KernelFn& kernel() const;
+
+  /// The kernel in block form; always callable. The installed block kernel
+  /// when there is one, otherwise a per-lane adapter that gathers each lane
+  /// and calls kernel().
+  BlockKernelFn block_kernel() const;
 
   /// D_Ax: the set of data elements touched by one reference (Definition 5).
   poly::Domain reference_domain(std::size_t array_idx,
@@ -103,9 +135,10 @@ class StencilProgram {
   std::vector<InputArray> inputs_;
   std::string output_ = "B";
   KernelFn kernel_;  // empty until first use; defaults to equal-weight sum
+  BlockKernelFn block_;  // set only by set_block_kernel; kernel_ is its n = 1
   mutable KernelFn default_kernel_;
   /// Weights of the kernel when its linear structure is known; kept in sync
-  /// by set_kernel / set_weighted_sum. Lazily filled with the equal-weight
+  /// by the set_* kernel installers. Lazily filled with the equal-weight
   /// default alongside default_kernel_.
   mutable std::vector<double> weights_;
 };

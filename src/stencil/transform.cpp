@@ -21,12 +21,8 @@ StencilProgram transform(const StencilProgram& program,
   }
   out.set_output(program.output_name());
   // A unimodular transform permutes iterations, not reference order, so the
-  // kernel (and any weighted-sum structure) carries over unchanged.
-  if (!program.weighted_sum_weights().empty()) {
-    out.set_weighted_sum(program.weighted_sum_weights());
-  } else {
-    out.set_kernel(program.kernel());
-  }
+  // kernel carries over unchanged, in whatever form it has.
+  out.copy_kernel_from(program);
   return out;
 }
 

@@ -55,15 +55,10 @@ stencil::StencilProgram make_replica(const stencil::StencilProgram& base,
   }
   replica.add_input(input.name, std::move(offsets));
   replica.set_output(base.output_name());
-  // Materialize the lazy equal-weight default first, so default-kernel
-  // programs replicate as weighted sums (canonical fma order -> replicas
-  // are bit-identical to the base, and the vector path sees the weights).
-  const stencil::KernelFn& kernel = base.kernel();
-  if (!base.weighted_sum_weights().empty()) {
-    replica.set_weighted_sum(base.weighted_sum_weights());
-  } else {
-    replica.set_kernel(kernel);
-  }
+  // Default-kernel programs replicate as weighted sums (canonical fma
+  // order -> replicas are bit-identical to the base, and the vector path
+  // sees the weights); block kernels stay block kernels.
+  replica.copy_kernel_from(base);
   return replica;
 }
 

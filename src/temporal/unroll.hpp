@@ -101,10 +101,11 @@ struct TemporalSchedule {
 };
 
 /// Builds one replica of `base` over `domain`: same input array name and
-/// reference offsets, same output name, and the same kernel -- weighted-sum
-/// kernels are re-installed from their weights so the replica keeps the
-/// canonical fma evaluation order (bit-identity across replicas) and the
-/// vector path keeps seeing the linear structure.
+/// reference offsets, same output name, and the same kernel in the same form
+/// (StencilProgram::copy_kernel_from) -- weighted-sum kernels are
+/// re-installed from their weights so the replica keeps the canonical fma
+/// evaluation order (bit-identity across replicas) and the vector path keeps
+/// seeing the linear structure; block kernels stay block kernels.
 stencil::StencilProgram make_replica(const stencil::StencilProgram& base,
                                      poly::Domain domain, std::string name);
 

@@ -82,12 +82,21 @@ bool write_all(int fd, std::string_view data) {
 
 bool LineReader::next_line(std::string* line) {
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
+    // Resume where the last search stopped: a long line is scanned once,
+    // not once per read.
+    const std::size_t nl = buffer_.find('\n', scanned_);
+    if (nl != std::string::npos && nl <= kMaxLine) {
       line->assign(buffer_, 0, nl);
       if (!line->empty() && line->back() == '\r') line->pop_back();
       buffer_.erase(0, nl + 1);
+      scanned_ = 0;
       return true;
+    }
+    scanned_ = buffer_.size();
+    if (scanned_ > kMaxLine) {
+      // An over-long line ends the stream: nothing after it can be framed.
+      eof_ = true;
+      buffer_.clear();
     }
     if (eof_) return false;
     char chunk[2048];

@@ -60,16 +60,22 @@ bool write_all(int fd, std::string_view data);
 /// TCP segmentation.
 class LineReader {
  public:
+  /// Longest line accepted, terminator excluded. A peer that sends more
+  /// without a '\n' is cut off: next_line returns false from then on.
+  static constexpr std::size_t kMaxLine = 64 * 1024;
+
   explicit LineReader(int fd) : fd_(fd) {}
 
   /// Blocks until a full line is available. False on EOF / error with no
   /// complete line buffered (a final unterminated fragment is discarded --
-  /// a protocol line that never ended was never a request).
+  /// a protocol line that never ended was never a request), and once the
+  /// pending line has grown past kMaxLine.
   bool next_line(std::string* line);
 
  private:
   int fd_;
   std::string buffer_;
+  std::size_t scanned_ = 0;  ///< buffer_ prefix known to hold no '\n'
   bool eof_ = false;
 };
 

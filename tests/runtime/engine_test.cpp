@@ -100,6 +100,32 @@ TEST(FrameEngine, GalleryFramesBitIdenticalToGolden) {
   EXPECT_GE(stats.cache.hits, stats.cache.misses);
 }
 
+TEST(FrameEngine, SobelAndJacobi8ShareOnePlanAndKeepTheirKernels) {
+  // Same 8-point window, so the design cache serves both kernels from one
+  // compiled plan; each frame must still run its own kernel -- SOBEL's
+  // block kernel, JACOBI8_2D's vectorized weighted sum -- whichever kernel
+  // the plan was compiled for.
+  const stencil::StencilProgram sobel = stencil::sobel_2d(24, 32);
+  const stencil::StencilProgram jacobi8 = stencil::jacobi8_2d(24, 32);
+  for (const std::int64_t width : {1, 8}) {
+    for (const bool sobel_first : {true, false}) {
+      EngineOptions options;
+      options.threads = 2;
+      options.tile_shape = {8, 0};
+      options.build.datapath_width = width;
+      FrameEngine engine(options);
+      const stencil::StencilProgram& first = sobel_first ? sobel : jacobi8;
+      const stencil::StencilProgram& second = sobel_first ? jacobi8 : sobel;
+      expect_frame_matches_golden(first, engine.submit(first, 3).wait());
+      const std::int64_t misses = engine.stats().cache.misses;
+      expect_frame_matches_golden(second, engine.submit(second, 3).wait());
+      EXPECT_EQ(engine.stats().cache.misses, misses)
+          << "W=" << width << ": " << second.name()
+          << " did not reuse the cached plans";
+    }
+  }
+}
+
 TEST(FrameEngine, RowAndColumnTiledFramesBitIdenticalToGolden) {
   // Each tile's outputs leave the simulator in row blocks and scatter
   // through its rank table: full-width row bands keep every block

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
+
+#include <cerrno>
 
 #include <chrono>
 #include <numeric>
@@ -236,6 +240,57 @@ TEST(ServeEndpoint, DroppedConnectionCancelsTheTenant) {
   const runtime::DesignCacheStats cache = server.engine().stats().cache;
   EXPECT_EQ(cache.pinned, 0u) << "dropped connection leaked design pins";
   EXPECT_EQ(cache.pins, cache.unpins);
+}
+
+TEST(ServeEndpoint, OverlongLineClosesOnlyThatConnection) {
+  const stencil::StencilProgram p = stencil::jacobi_2d(20, 24);
+  ServeOptions options;
+  options.engine.threads = 1;
+  StencilServer server(options);
+  server.add_kernel(p);
+  ServeEndpoint endpoint(server);
+  ASSERT_TRUE(endpoint.ok()) << endpoint.error();
+
+  WireClient bystander(endpoint.port());
+  ASSERT_TRUE(bystander.connected());
+  EXPECT_EQ(bystander.command("HELLO bystander"), "OK bystander");
+
+  const int flood = util::connect_loopback(endpoint.port());
+  ASSERT_GE(flood, 0);
+  // A server that kept buffering would leave the read below blocked; the
+  // timeout turns that into a failure instead of a hang.
+  const timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(flood, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  ASSERT_TRUE(util::write_all(flood, "HELLO flooder\n"));
+  util::LineReader reader(flood);
+  std::string reply;
+  ASSERT_TRUE(reader.next_line(&reply));
+  EXPECT_EQ(reply, "OK flooder");
+
+  // 1 MiB with no newline: the endpoint stops at its line cap and hangs
+  // up, whether or not the whole payload fit into the socket buffers.
+  (void)util::write_all(flood, std::string(std::size_t{1} << 20, 'x'));
+  char byte = 0;
+  const ssize_t got = ::recv(flood, &byte, 1, 0);
+  const int err = errno;
+  EXPECT_TRUE(got == 0 || (got < 0 && err == ECONNRESET))
+      << "recv returned " << got << ", errno " << err;
+  ::close(flood);
+
+  // The other connection is unaffected.
+  const std::vector<std::string> ok =
+      words_of(bystander.command("SUBMIT JACOBI_2D 5"));
+  ASSERT_EQ(ok.size(), 2u);
+  ASSERT_EQ(ok[0], "OK");
+  const std::vector<std::string> done =
+      words_of(bystander.command("WAIT " + ok[1]));
+  ASSERT_EQ(done.size(), 5u);
+  EXPECT_EQ(done[2], "ok");
+  EXPECT_EQ(done[4],
+            std::to_string(output_checksum(stencil::run_golden(p, 5).outputs)));
+  EXPECT_EQ(bystander.command("QUIT"), "OK bye");
 }
 
 TEST(ServeEndpoint, QuitLeavesOutstandingWorkRunning) {

@@ -1,7 +1,8 @@
 // Differential fuzz harness for the batched and W-wide fast backend. The
 // sweep drives >= 400 random stencils (rect, sheared, triangular; ragged
 // inner widths including rows narrower than W and rows with width % W != 0)
-// through W in {1, 4, 8}, each checked four ways:
+// through W in {1, 4, 8} -- a quarter of them with a nonlinear block kernel,
+// the rest with weighted sums -- each checked four ways:
 //
 //   1. run_differential: the wide fast backend against the scalar
 //      reference, cycle-exact at every batch boundary;
@@ -27,10 +28,14 @@
 #include <vector>
 
 #include "arch/builder.hpp"
+#include "poly/transform.hpp"
+#include "runtime/tiler.hpp"
 #include "sim/prefetch.hpp"
 #include "sim/simulator.hpp"
 #include "stencil/gallery.hpp"
 #include "stencil/golden.hpp"
+#include "stencil/transform.hpp"
+#include "temporal/unroll.hpp"
 #include "testing/stencil_gen.hpp"
 #include "util/error.hpp"
 
@@ -197,10 +202,16 @@ class VectorFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(VectorFuzz, WideBackendMatchesScalarAndReference) {
   const std::uint64_t seed = GetParam();
 
+  // Each family gives a quarter of its seeds a nonlinear block kernel
+  // (taken from the share that would otherwise run the default kernel), so
+  // the batched path's block-kernel dispatch sees ragged runs of every
+  // length too.
+
   // Family 1: the legacy recipe (even seed rect, odd sheared), alternating
   // between the equal-weight default kernel and random weights.
   ::nup::testing::StencilGenOptions legacy;
   legacy.random_weights = (seed % 4) >= 2;
+  legacy.nonlinear_block = (seed % 4) == 1;
   check_program_at_width(::nup::testing::random_program(seed, legacy), 1);
   for (std::int64_t w : {4, 8}) {
     check_program_at_width(::nup::testing::random_program(seed, legacy), w);
@@ -212,6 +223,7 @@ TEST_P(VectorFuzz, WideBackendMatchesScalarAndReference) {
   ::nup::testing::StencilGenOptions tri;
   tri.shape = ::nup::testing::StencilGenOptions::Shape::kTriangular;
   tri.random_weights = (seed % 2) == 1;
+  tri.nonlinear_block = (seed % 4) == 2;
   for (std::int64_t w : kWidths) {
     check_program_at_width(::nup::testing::random_program(seed, tri), w);
   }
@@ -224,6 +236,7 @@ TEST_P(VectorFuzz, WideBackendMatchesScalarAndReference) {
   narrow.min_extent = 1;
   narrow.max_extent = 9;
   narrow.random_weights = (seed % 2) == 0;
+  narrow.nonlinear_block = (seed % 4) == 3;
   for (std::int64_t w : kWidths) {
     check_program_at_width(::nup::testing::random_program(seed, narrow), w);
   }
@@ -511,6 +524,48 @@ TEST(BatchedRun, SharedPlanKeepsEachProgramsKernel) {
       FastSim sim(*p, design, plan, SimOptions{});
       EXPECT_EQ(sim.run().outputs, stencil::run_golden(*p, 1).outputs)
           << "W=" << w << (p == &opaque ? " opaque" : " reweighted");
+    }
+  }
+}
+
+TEST(BatchedRun, CopiedProgramsKeepTheBlockKernel) {
+  // The tiler, transform() and the temporal replicas copy a program's
+  // kernel into a new program. The copy must stay a block kernel, or every
+  // engine tile of RICIAN/SOBEL falls back to one call per lane: the
+  // kernel below counts the calls FastSim makes with more than one lane.
+  auto block_calls = std::make_shared<std::int64_t>(0);
+  stencil::StencilProgram base("COUNTED",
+                               poly::Domain::box({1, 1}, {22, 30}));
+  base.add_input("A", {{-1, 0}, {0, -1}, {0, 0}, {0, 1}, {1, 0}});
+  base.set_block_kernel(
+      [block_calls](const double* v, std::int64_t n, double* out) {
+        if (n > 1) ++*block_calls;
+        for (std::int64_t l = 0; l < n; ++l) out[l] = 0.0;
+        for (std::int64_t k = 0; k < 5; ++k) {
+          for (std::int64_t l = 0; l < n; ++l) {
+            out[l] += std::abs(v[k * n + l] - 0.5);
+          }
+        }
+      });
+
+  runtime::TilerOptions tiling;
+  tiling.tile_shape = {8, 0};
+  const runtime::TilePlan tiles = runtime::plan_tiles(base, tiling);
+  ASSERT_GT(tiles.tiles.size(), 1u);
+  const std::vector<std::pair<std::string, stencil::StencilProgram>> copies = {
+      {"tile", *tiles.tiles.front().program},
+      {"transform", stencil::transform(base, poly::interchange(2, 0, 1))},
+      {"replica", temporal::make_replica(base, base.iteration(), "REPLICA")},
+  };
+  for (const auto& [label, p] : copies) {
+    for (std::int64_t w : kWidths) {
+      const arch::AcceleratorDesign design = widened_design(p, w);
+      *block_calls = 0;
+      FastSim sim(p, design, SimOptions{});
+      const SimResult result = sim.run();
+      EXPECT_GT(*block_calls, 0) << label << " W=" << w;
+      EXPECT_EQ(result.outputs, stencil::run_golden(p, 1).outputs)
+          << label << " W=" << w;
     }
   }
 }

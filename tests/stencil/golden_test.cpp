@@ -7,6 +7,7 @@
 #include <cstring>
 #include <vector>
 
+#include "serve/wire.hpp"
 #include "stencil/gallery.hpp"
 
 namespace nup::stencil {
@@ -116,6 +117,19 @@ TEST(GoldenRun, NonLinearKernelExecutes) {
     EXPECT_GE(v, 0.0);  // sqrt of a sum of squares
     EXPECT_TRUE(std::isfinite(v));
   }
+}
+
+// Golden and every simulator share each opaque kernel, so a redefinition
+// would keep every golden-vs-simulator test green while changing every
+// checksum a wire client compares against. Only these pins catch it; they
+// hold with and without -march=native (FMA contraction).
+TEST(GoldenRun, OpaqueKernelChecksumsArePinned) {
+  const auto checksum = [](const StencilProgram& p) {
+    return serve::output_checksum(run_golden(p, 7).outputs);
+  };
+  EXPECT_EQ(checksum(rician_2d(48, 64)), 13526080848225334434ull);
+  EXPECT_EQ(checksum(sobel_2d(48, 64)), 4574794338186060677ull);
+  EXPECT_EQ(checksum(life_2d(48, 64)), 10958588643383904771ull);
 }
 
 TEST(GoldenRun, SkewedDomainExecutes) {

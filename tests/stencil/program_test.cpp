@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+
 #include "util/error.hpp"
 
 namespace nup::stencil {
@@ -118,6 +121,155 @@ TEST(StencilProgram, IterationNamesBeyondThreeDims) {
   ASSERT_EQ(names.size(), 4u);
   EXPECT_EQ(names[0], "i");
   EXPECT_EQ(names[3], "x3");
+}
+
+// ---- block kernels -------------------------------------------------------
+
+StencilProgram two_ref_program() {
+  StencilProgram p("PAIR", poly::Domain::box({1, 1}, {4, 6}));
+  p.add_input("A", {{0, -1}, {0, 1}});
+  return p;
+}
+
+/// out[l] = v0[l] - 2 * v1[l], counting its calls in `*calls`.
+BlockKernelFn difference_kernel(std::shared_ptr<int> calls) {
+  return [calls](const double* v, std::int64_t n, double* out) {
+    ++*calls;
+    for (std::int64_t l = 0; l < n; ++l) out[l] = v[l] - 2.0 * v[n + l];
+  };
+}
+
+TEST(BlockKernel, PointKernelIsTheOneLaneCase) {
+  StencilProgram p = two_ref_program();
+  auto calls = std::make_shared<int>(0);
+  p.set_block_kernel(difference_kernel(calls));
+  EXPECT_TRUE(p.weighted_sum_weights().empty());
+
+  *calls = 0;
+  EXPECT_EQ(p.kernel()({5.0, 1.5}), 2.0);
+  EXPECT_EQ(*calls, 1);
+
+  // 2 references x 3 lanes, slot-major.
+  const double values[] = {1.0, 2.0, 3.0, 0.5, 0.25, 1.0};
+  double out[3] = {};
+  p.block_kernel()(values, 3, out);
+  EXPECT_EQ(*calls, 2);  // one call for the whole block
+  EXPECT_EQ(out[0], 0.0);
+  EXPECT_EQ(out[1], 1.5);
+  EXPECT_EQ(out[2], 1.0);
+}
+
+TEST(BlockKernel, RejectsABlockCallThatDiffersFromItsLanes) {
+  StencilProgram p = two_ref_program();
+  // Reads n, so a lane's value depends on the size of its block.
+  EXPECT_THROW(p.set_block_kernel([](const double* v, std::int64_t n,
+                                     double* out) {
+    for (std::int64_t l = 0; l < n; ++l) {
+      out[l] = v[l] * static_cast<double>(n);
+    }
+  }),
+               Error);
+  // The rejected kernel was not installed: the default is still in place.
+  EXPECT_EQ(p.weighted_sum_weights().size(), 2u);
+  EXPECT_DOUBLE_EQ(p.kernel()({1.0, 3.0}), 2.0);
+}
+
+TEST(BlockKernel, RejectsAProgramWithoutReferences) {
+  StencilProgram p("NO_INPUTS", poly::Domain::box({0}, {3}));
+  auto calls = std::make_shared<int>(0);
+  EXPECT_THROW(p.set_block_kernel(difference_kernel(calls)), Error);
+  EXPECT_EQ(*calls, 0);
+}
+
+TEST(BlockKernel, PointAdapterThrowsOnArityMismatch) {
+  StencilProgram p = two_ref_program();
+  p.set_block_kernel(difference_kernel(std::make_shared<int>(0)));
+  EXPECT_THROW(p.kernel()({1.0, 2.0, 3.0}), Error);
+  EXPECT_THROW(p.kernel()({1.0}), Error);
+}
+
+TEST(BlockKernel, PointKernelsAndWeightedSumsGetAPerLaneAdapter) {
+  StencilProgram opaque = two_ref_program();
+  opaque.set_kernel(
+      [](const std::vector<double>& v) { return std::max(v[0], v[1]); });
+  StencilProgram weighted = two_ref_program();
+  weighted.set_weighted_sum({0.5, -1.0});
+  StencilProgram defaulted = two_ref_program();
+
+  const double values[] = {1.0, 4.0, -2.0, 3.0, 0.5, -1.0};
+  for (const StencilProgram* p : {&opaque, &weighted, &defaulted}) {
+    double out[3] = {};
+    p->block_kernel()(values, 3, out);
+    for (std::size_t l = 0; l < 3; ++l) {
+      EXPECT_EQ(out[l], p->kernel()({values[l], values[3 + l]}))
+          << p->name() << " lane " << l;
+    }
+  }
+}
+
+TEST(BlockKernel, SetKernelAndSetWeightedSumClearTheBlockForm) {
+  const double values[] = {1.0, 2.0, 3.0, 4.0};
+  double out[2] = {};
+  auto calls = std::make_shared<int>(0);
+
+  StencilProgram p = two_ref_program();
+  p.set_block_kernel(difference_kernel(calls));
+  p.set_weighted_sum({1.0, 1.0});
+  *calls = 0;
+  p.block_kernel()(values, 2, out);
+  EXPECT_EQ(*calls, 0);
+  EXPECT_EQ(out[0], 4.0);
+  EXPECT_EQ(out[1], 6.0);
+
+  p.set_block_kernel(difference_kernel(calls));
+  EXPECT_TRUE(p.weighted_sum_weights().empty());
+  p.set_kernel([](const std::vector<double>& v) { return v[0] * v[1]; });
+  *calls = 0;
+  p.block_kernel()(values, 2, out);
+  EXPECT_EQ(*calls, 0);
+  EXPECT_EQ(out[0], 3.0);
+  EXPECT_EQ(out[1], 8.0);
+}
+
+TEST(BlockKernel, CopyKernelFromCarriesEveryForm) {
+  const double values[] = {1.0, 2.0, 3.0, 4.0};
+  double out[2] = {};
+
+  StencilProgram block_src = two_ref_program();
+  auto calls = std::make_shared<int>(0);
+  block_src.set_block_kernel(difference_kernel(calls));
+  StencilProgram block_dst = two_ref_program();
+  block_dst.copy_kernel_from(block_src);
+  *calls = 0;
+  block_dst.block_kernel()(values, 2, out);
+  EXPECT_EQ(*calls, 1);  // the source's block kernel, called once
+  EXPECT_EQ(out[0], -5.0);
+  EXPECT_EQ(block_dst.kernel()({3.0, 1.0}), 1.0);
+  EXPECT_TRUE(block_dst.weighted_sum_weights().empty());
+
+  StencilProgram weighted_src = two_ref_program();
+  weighted_src.set_weighted_sum({0.25, 0.75});
+  StencilProgram weighted_dst = two_ref_program();
+  weighted_dst.set_block_kernel(difference_kernel(calls));
+  weighted_dst.copy_kernel_from(weighted_src);
+  EXPECT_EQ(weighted_dst.weighted_sum_weights(),
+            (std::vector<double>{0.25, 0.75}));
+
+  // The lazy equal-weight default arrives as a recorded weighted sum.
+  StencilProgram default_dst = two_ref_program();
+  default_dst.copy_kernel_from(two_ref_program());
+  EXPECT_EQ(default_dst.weighted_sum_weights(),
+            (std::vector<double>{0.5, 0.5}));
+
+  StencilProgram point_src = two_ref_program();
+  point_src.set_kernel(
+      [](const std::vector<double>& v) { return v[0] / v[1]; });
+  StencilProgram point_dst = two_ref_program();
+  point_dst.copy_kernel_from(point_src);
+  EXPECT_TRUE(point_dst.weighted_sum_weights().empty());
+  EXPECT_EQ(point_dst.kernel()({3.0, 4.0}), 0.75);
+
+  EXPECT_THROW(make_small().copy_kernel_from(block_src), Error);
 }
 
 }  // namespace

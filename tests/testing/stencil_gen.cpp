@@ -1,6 +1,7 @@
 #include "testing/stencil_gen.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 
@@ -76,7 +77,36 @@ stencil::StencilProgram random_program(std::uint64_t seed,
   stencil::StencilProgram p(prefix + std::to_string(seed), domain);
   p.add_input("A",
               std::vector<poly::IntVec>(offsets.begin(), offsets.end()));
-  if (options.random_weights) {
+  if (options.nonlinear_block) {
+    std::vector<double> w;
+    w.reserve(refs);
+    for (std::size_t k = 0; k < refs; ++k) {
+      w.push_back(rng.next_double() + 0.25);
+    }
+    const auto arity = static_cast<std::int64_t>(refs);
+    if (rng.next_in(0, 1) == 0) {
+      p.set_block_kernel([w, arity](const double* v, std::int64_t n,
+                                    double* out) {
+        for (std::int64_t l = 0; l < n; ++l) out[l] = 0.0;
+        for (std::int64_t k = 0; k < arity; ++k) {
+          const double* x = v + k * n;
+          for (std::int64_t l = 0; l < n; ++l) out[l] += w[k] * x[l] * x[l];
+        }
+        for (std::int64_t l = 0; l < n; ++l) out[l] = std::sqrt(out[l]);
+      });
+    } else {
+      p.set_block_kernel([w, arity](const double* v, std::int64_t n,
+                                    double* out) {
+        for (std::int64_t l = 0; l < n; ++l) out[l] = 0.0;
+        for (std::int64_t k = 1; k < arity; ++k) {
+          const double* x = v + k * n;
+          for (std::int64_t l = 0; l < n; ++l) {
+            out[l] += w[k] * std::abs(x[l] - v[l]);
+          }
+        }
+      });
+    }
+  } else if (options.random_weights) {
     std::vector<double> weights;
     weights.reserve(refs);
     for (std::size_t k = 0; k < refs; ++k) {

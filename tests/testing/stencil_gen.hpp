@@ -38,6 +38,12 @@ struct StencilGenOptions {
   /// set_weighted_sum so the linear structure is visible to the vector
   /// path. False keeps the legacy equal-weight default kernel.
   bool random_weights = false;
+
+  /// Install a nonlinear block kernel (set_block_kernel) with random
+  /// weights w in [0.25, 1.25): either sqrt(sum w[k] * v[k]^2) or the
+  /// weighted sum of |v[k] - v[0]|, picked from the seed. Takes precedence
+  /// over random_weights; false draws nothing extra from the Rng stream.
+  bool nonlinear_block = false;
 };
 
 /// Deterministic random 2-D single-input stencil for `seed`. With default

@@ -2,7 +2,7 @@
 // serve::ServeEndpoint: ephemeral binds report their port, a failed bind
 // names the port that was taken, shutdown unblocks a pending accept, and
 // the line reader reassembles protocol lines regardless of how TCP
-// segments them.
+// segments them and cuts off a line longer than its cap.
 
 #include "util/socket.hpp"
 
@@ -93,6 +93,36 @@ TEST(LineReader, ReassemblesLinesAcrossArbitrarySegmentation) {
                                              "STATS"};
   EXPECT_EQ(lines, expected);
   // EOF reached: further reads keep failing instead of blocking.
+  EXPECT_FALSE(reader.next_line(&line));
+  ::close(conn);
+  client.join();
+}
+
+TEST(LineReader, AcceptsALineAtTheCapAndCutsOffALongerOne) {
+  LoopbackListener listener(0);
+  ASSERT_TRUE(listener.ok()) << listener.error();
+
+  const std::string at_cap(LineReader::kMaxLine, 'a');
+  const std::string past_cap(LineReader::kMaxLine + 1, 'b');
+  std::thread client([port = listener.port(), &at_cap, &past_cap] {
+    const int fd = connect_loopback(port);
+    ASSERT_GE(fd, 0);
+    // The reader stops reading at the over-long line and the server side
+    // then closes, so these writes may fail; only the reads are checked.
+    (void)write_all(fd, at_cap + "\nok\n" + past_cap + "\nafter\n");
+    ::close(fd);
+  });
+
+  const int conn = listener.accept_client();
+  ASSERT_GE(conn, 0);
+  LineReader reader(conn);
+  std::string line;
+  ASSERT_TRUE(reader.next_line(&line));
+  EXPECT_EQ(line, at_cap);
+  ASSERT_TRUE(reader.next_line(&line));
+  EXPECT_EQ(line, "ok");
+  // Nothing after an over-long line can be framed: the stream ends there.
+  EXPECT_FALSE(reader.next_line(&line));
   EXPECT_FALSE(reader.next_line(&line));
   ::close(conn);
   client.join();
