@@ -4,7 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
-#include <thread>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "pipeline/dependency.hpp"
@@ -36,7 +36,7 @@ namespace detail {
 /// executes it; the engine queue lock orders the two, so no slice is ever
 /// touched concurrently. Several frames coexist (the admission window);
 /// each has its own buffers and countdowns, sharing only the executor's
-/// tracker, engines, and slab pools.
+/// tracker, engine, and slab pools.
 struct FrameCtx {
   std::weak_ptr<PipelineExecutor::Impl> impl;
   std::uint64_t seed = 0;
@@ -45,7 +45,6 @@ struct FrameCtx {
   std::uint64_t trace_id = 0;  ///< causal id threaded through every stage
   bool own_events = true;      ///< pipeline owns the frame's trace lane
   std::chrono::steady_clock::time_point t0;
-  std::vector<std::string> stage_names;
 
   std::vector<runtime::FrameHandle> handles;          // per stage
   std::vector<std::unique_ptr<StageBuffer>> buffers;  // per edge
@@ -85,8 +84,11 @@ struct PipelineExecutor::Impl
   obs::Journal* journal = nullptr;
   std::uint32_t jname = 0;
 
-  std::vector<std::unique_ptr<runtime::FrameEngine>> engines;  // per stage
-  std::vector<std::shared_ptr<const runtime::TilePlan>> plans;
+  /// The one engine every stage's deferred frames run on; shared with
+  /// other executors when handed in (the temporal runner's pass shapes).
+  std::shared_ptr<runtime::FrameEngine> engine;
+  bool owns_engine = false;  ///< built here: shutdown() stops it
+  std::vector<std::shared_ptr<const runtime::TilePlan>> plans;  // per stage
   std::vector<std::size_t> tiles_per_stage;
   std::vector<std::shared_ptr<const EdgeTileMap>> maps;  // per edge
   std::vector<std::string> edge_labels;                  // per edge
@@ -94,15 +96,14 @@ struct PipelineExecutor::Impl
   /// storage retired by frame f is what frame f+1 admits into, which is
   /// what makes the steady-state hot path allocation-free.
   std::vector<std::shared_ptr<SlabPool>> pools;
-  /// Per-edge tile placements of the producer / consumer stage engines
-  /// (null when running single-node): handed to every frame's
-  /// StageBuffers so slabs route through the owning node's pool arena.
-  std::vector<std::shared_ptr<const runtime::PlacementPlan>> edge_prod_place;
-  std::vector<std::shared_ptr<const runtime::PlacementPlan>> edge_cons_place;
+  /// Per-stage tile placements (null when running single-node): handed to
+  /// every frame's StageBuffers so slabs route through the owning node's
+  /// pool arena.
+  std::vector<std::shared_ptr<const runtime::PlacementPlan>> placements;
   /// Per-stage tile designs, pinned (and kept alive) for the executor's
   /// lifetime and handed to every frame via SubmitOptions::designs:
   /// steady-state frames never recompile or even look up a cache key.
-  /// Unpinned at shutdown so the caches report zero pins afterwards.
+  /// Unpinned at shutdown so the cache reports zero pins afterwards.
   std::vector<
       std::shared_ptr<const std::vector<
           std::shared_ptr<const runtime::CachedDesign>>>>
@@ -135,7 +136,8 @@ struct PipelineExecutor::Impl
   std::chrono::steady_clock::time_point last_done;
   bool have_last_done = false;
 
-  Impl(StageGraph g, PipelineOptions opts)
+  Impl(StageGraph g, PipelineOptions opts,
+       std::shared_ptr<runtime::FrameEngine> shared)
       : graph(std::move(g)), options(std::move(opts)) {
     registry = options.metrics ? options.metrics : &obs::Registry::global();
     journal = options.journal ? options.journal : &obs::Journal::global();
@@ -159,35 +161,20 @@ struct PipelineExecutor::Impl
     h_overlap = &registry->histogram(pfx + "frame_interleave_overlap_us");
     h_admission = &registry->histogram(pfx + "admission_wait_us");
 
-    std::size_t threads = options.threads_per_stage;
-    if (threads == 0) {
-      const std::size_t hw =
-          std::max(1u, std::thread::hardware_concurrency());
-      threads = std::max<std::size_t>(1, hw / graph.stage_count());
-    }
-    for (std::size_t s = 0; s < graph.stage_count(); ++s) {
-      runtime::EngineOptions eo;
-      eo.name = (options.name.empty() ? std::string() : options.name + ".") +
-                "s" + std::to_string(s);
-      eo.threads = threads;
-      eo.queue_capacity = options.queue_capacity;
-      eo.tile_shape = options.tile_shape;
-      eo.build = options.build;
-      eo.cache_capacity = options.cache_capacity;
-      eo.metrics = registry;
-      eo.journal = journal;
-      eo.sim = options.sim;
-      eo.numa = options.numa;
-      engines.push_back(std::make_unique<runtime::FrameEngine>(eo));
-      plans.push_back(
-          engines.back()->plan_for(graph.stages()[s].program));
+    owns_engine = shared == nullptr;
+    engine = owns_engine ? std::make_shared<runtime::FrameEngine>(
+                               engine_options(options, graph.stage_count()))
+                         : std::move(shared);
+    const arch::BuildOptions& build = engine->options().build;
+    for (const Stage& stage : graph.stages()) {
+      plans.push_back(engine->plan_for(stage.program));
+      placements.push_back(engine->placement_for(plans.back()));
       tiles_per_stage.push_back(plans.back()->tiles.size());
       auto designs = std::make_shared<
           std::vector<std::shared_ptr<const runtime::CachedDesign>>>();
       designs->reserve(plans.back()->tiles.size());
       for (const runtime::Tile& tile : plans.back()->tiles) {
-        designs->push_back(
-            engines.back()->cache().pin(*tile.program, options.build));
+        designs->push_back(engine->cache().pin(*tile.program, build));
       }
       stage_designs.push_back(std::move(designs));
     }
@@ -200,17 +187,10 @@ struct PipelineExecutor::Impl
           edge.label);
       const std::string epfx = "pipeline.edge." + edge_labels.back() + ".";
       h_ready.push_back(&registry->histogram(epfx + "ready_us"));
-      edge_prod_place.push_back(
-          engines[edge.producer]->placement_for(plans[edge.producer]));
-      edge_cons_place.push_back(
-          engines[edge.consumer]->placement_for(plans[edge.consumer]));
-      // One arena per scheduling node of the edge's engines (both see the
-      // same process topology; 1 with numa off), so slabs recycle through
-      // the arena of the node that first-touched them.
-      const std::size_t arenas =
-          std::max(engines[edge.producer]->topology().node_count(),
-                   engines[edge.consumer]->topology().node_count());
-      auto pool = std::make_shared<SlabPool>(arenas);
+      // One arena per scheduling node (1 with numa off), so slabs recycle
+      // through the arena of the node that first-touched them.
+      auto pool =
+          std::make_shared<SlabPool>(engine->topology().node_count());
       pool->bind_metrics(&registry->counter(epfx + "slab_allocated"),
                          &registry->counter(epfx + "slab_recycled"));
       pool->bind_resident_gauge(&registry->gauge(
@@ -222,10 +202,10 @@ struct PipelineExecutor::Impl
         graph, maps, tiles_per_stage, options.barrier);
   }
 
-  /// Hands one ready tile to its stage engine: stitch its edge-fed input
-  /// slices, then enqueue. Called exactly once per tile by the tracker
-  /// (source tiles from submit(), the rest from producer workers); the
-  /// released flag only arbitrates against abort().
+  /// Hands one ready tile to the engine: stitch its edge-fed input slices,
+  /// then enqueue. Called exactly once per tile by the tracker (source
+  /// tiles from submit(), the rest from the workers that ran their
+  /// producers); the released flag only arbitrates against abort().
   void make_ready(const std::shared_ptr<FrameCtx>& ctx, std::size_t stage,
                   std::size_t tile) {
     FrameCtx& c = *ctx;
@@ -250,11 +230,12 @@ struct PipelineExecutor::Impl
                      "{\"stage\":" + std::to_string(stage) +
                          ",\"tile\":" + std::to_string(tile) + "}");
     }
-    // Outside c.mu: this can block on the consumer queue (backpressure).
-    engines[stage]->release_tile(c.handles[stage], tile);
+    // Outside c.mu: from the submitting thread this can block on a full
+    // queue (backpressure); from a worker it never does.
+    engine->release_tile(c.handles[stage], tile);
   }
 
-  /// Tile-resolution hook (runs in the executing stage's worker thread).
+  /// Tile-resolution hook (runs in the executing worker thread).
   /// Every tile of a frame -- executed, failed, or skipped -- comes
   /// through here exactly once, so the trailing countdown is the frame's
   /// completion barrier.
@@ -337,7 +318,7 @@ struct PipelineExecutor::Impl
         for (const std::size_t e : graph.stages()[s].in_edges) {
           c.buffers[e]->release_consumer(t);
         }
-        engines[s]->skip_tile(c.handles[s], t);
+        engine->skip_tile(c.handles[s], t);
       }
     }
   }
@@ -357,27 +338,23 @@ struct PipelineExecutor::Impl
       for (runtime::FrameHandle& h : f->handles) h.wait();
       assemble(*f);
     }
-    // All frames resolved: no callback can still be running, so the
-    // engines can stop in any order.
-    for (std::unique_ptr<runtime::FrameEngine>& engine : engines) {
+    // All frames resolved: no callback can still be running. A shared
+    // engine keeps serving its other executors; its owner stops it.
+    if (owns_engine) {
       engine->shutdown(runtime::FrameEngine::Drain::kDrainAll);
     }
-    // Drop the design pins (once): the executor is the only pinner of its
-    // stage caches, so after shutdown every cache reports zero pinned
-    // entries whatever path -- drain, cancel, or mid-frame abort -- got
-    // here. The designs stay alive through stage_designs regardless.
+    // Drop the design pins (once): after shutdown the executor holds no
+    // pins in the cache whatever path -- drain, cancel, or mid-frame
+    // abort -- got here. The designs stay alive through stage_designs.
     bool drop = false;
     {
       std::lock_guard<std::mutex> lock(mu);
-      if (!unpinned) {
-        unpinned = true;
-        drop = true;
-      }
+      drop = !std::exchange(unpinned, true);
     }
     if (drop) {
-      for (std::size_t s = 0; s < plans.size(); ++s) {
-        for (const runtime::Tile& tile : plans[s]->tiles) {
-          engines[s]->cache().unpin(*tile.program, options.build);
+      for (const std::shared_ptr<const runtime::TilePlan>& plan : plans) {
+        for (const runtime::Tile& tile : plan->tiles) {
+          engine->cache().unpin(*tile.program, engine->options().build);
         }
       }
     }
@@ -394,7 +371,7 @@ struct PipelineExecutor::Impl
       r.stages.push_back(fr);
       if (fr.cancelled) r.cancelled = true;
       if (!fr.error.empty() && r.error.empty()) {
-        r.error = c.stage_names[s] + ": " + fr.error;
+        r.error = graph.stages()[s].program.name() + ": " + fr.error;
       }
       StageTiming t;
       t.first_tile_us = c.first_us[s].load(std::memory_order_relaxed);
@@ -492,8 +469,26 @@ void PipelineHandle::cancel() {
 
 // ---- PipelineExecutor --------------------------------------------------
 
-PipelineExecutor::PipelineExecutor(StageGraph graph, PipelineOptions options)
-    : impl_(std::make_shared<Impl>(std::move(graph), std::move(options))) {}
+runtime::EngineOptions engine_options(const PipelineOptions& options,
+                                      std::size_t stages) {
+  runtime::EngineOptions eo;
+  eo.name = options.name;
+  eo.threads = options.threads_per_stage * stages;  // 0 stays "hardware"
+  eo.queue_capacity = options.queue_capacity;
+  eo.tile_shape = options.tile_shape;
+  eo.build = options.build;
+  eo.cache_capacity = options.cache_capacity;
+  eo.metrics = options.metrics;
+  eo.journal = options.journal;
+  eo.sim = options.sim;
+  eo.numa = options.numa;
+  return eo;
+}
+
+PipelineExecutor::PipelineExecutor(StageGraph graph, PipelineOptions options,
+                                   std::shared_ptr<runtime::FrameEngine> engine)
+    : impl_(std::make_shared<Impl>(std::move(graph), std::move(options),
+                                   std::move(engine))) {}
 
 PipelineExecutor::~PipelineExecutor() {
   if (impl_) impl_->shutdown(Drain::kCancelPending);
@@ -501,16 +496,7 @@ PipelineExecutor::~PipelineExecutor() {
 
 const StageGraph& PipelineExecutor::graph() const { return impl_->graph; }
 
-runtime::FrameEngine& PipelineExecutor::engine(std::size_t stage) {
-  if (stage >= impl_->engines.size()) {
-    throw Error("PipelineExecutor::engine: stage out of range");
-  }
-  return *impl_->engines[stage];
-}
-
-PipelineHandle PipelineExecutor::submit(std::uint64_t seed) {
-  return submit(seed, FrameOptions{});
-}
+runtime::FrameEngine& PipelineExecutor::engine() { return *impl_->engine; }
 
 PipelineHandle PipelineExecutor::submit(std::uint64_t seed,
                                         FrameOptions frame) {
@@ -597,8 +583,8 @@ PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
         im.plans[edge.producer], im.plans[edge.consumer], im.maps[e],
         edge.input, *im.registry, im.edge_labels[e], im.pools[e],
         wrap ? edge.producer_lo : poly::IntVec{},
-        wrap ? edge.producer_hi : poly::IntVec{}, im.edge_prod_place[e],
-        im.edge_cons_place[e]));
+        wrap ? edge.producer_hi : poly::IntVec{},
+        im.placements[edge.producer], im.placements[edge.consumer]));
   }
   ctx->slices.resize(stages);
   ctx->released.resize(stages);
@@ -607,7 +593,6 @@ PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
   std::int64_t total_tiles = 0;
   for (std::size_t s = 0; s < stages; ++s) {
     const stencil::StencilProgram& program = im.graph.stages()[s].program;
-    ctx->stage_names.push_back(program.name());
     ctx->slices[s].assign(
         im.tiles_per_stage[s],
         std::vector<Slice>(program.inputs().size()));
@@ -710,7 +695,7 @@ PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
       }
     };
     ctx->handles.push_back(
-        im.engines[s]->submit(im.plans[s], seed, std::move(so)));
+        im.engine->submit(im.plans[s], seed, std::move(so)));
   }
 
   for (const DependencyTracker::Ready r : im.tracker->arm(ctx->frame_id)) {

@@ -23,26 +23,26 @@ struct FrameCtx;
 }
 
 struct PipelineOptions {
-  /// Instance label: stage engines publish as engine.<name>.s<k>.*, edge
-  /// buffers as pipeline.edge.<name>.<label>.*. Empty uses engine.s<k>.*
-  /// and pipeline.edge.<label>.* (one anonymous pipeline per process).
+  /// Instance label: the engine publishes as engine.<name>.* /
+  /// cache.<name>.*, edge buffers as pipeline.edge.<name>.<label>.*. Empty
+  /// uses engine.*, cache.* and pipeline.edge.<label>.*.
   std::string name;
 
-  /// Worker threads per stage engine; 0 divides the hardware threads
-  /// evenly over the stages (at least 1 each).
+  /// Worker threads per stage: one pool of threads_per_stage x stages
+  /// workers runs every stage. 0 uses the hardware thread count.
   std::size_t threads_per_stage = 0;
 
-  /// Tile queue bound of each stage engine: the cross-stage backpressure
-  /// window. An upstream worker releasing into a full consumer queue
-  /// blocks until the consumer drains.
+  /// Tile queue bound: the submitting thread blocks while source tiles
+  /// fill it; tiles the workers release never wait (see
+  /// runtime::FrameEngine::release_tile).
   std::size_t queue_capacity = 16;
 
-  poly::IntVec tile_shape;       ///< per-stage tiler shape (empty = auto)
+  poly::IntVec tile_shape;       ///< tiler shape of every stage (empty = auto)
   arch::BuildOptions build;      ///< microarchitecture generation options
-  std::size_t cache_capacity = 256;  ///< per-stage design cache capacity
+  std::size_t cache_capacity = 256;  ///< design cache capacity
   obs::Registry* metrics = nullptr;  ///< nullptr = obs::Registry::global()
-  /// Flight recorder the pipeline (and its stage engines, edge slab
-  /// pools) journals into; nullptr = obs::Journal::global().
+  /// Flight recorder the pipeline (and its engine, edge slab pools)
+  /// journals into; nullptr = obs::Journal::global().
   obs::Journal* journal = nullptr;
   sim::SimOptions sim;
 
@@ -61,12 +61,17 @@ struct PipelineOptions {
   /// admitted immediately -- unbounded buffer occupancy, use with care).
   std::size_t max_frames_in_flight = 4;
 
-  /// Locality policy handed to every stage engine (see
-  /// runtime::EngineOptions::numa). When on, each edge's SlabPool is
+  /// Locality policy of the engine (see runtime::EngineOptions::numa).
+  /// When on, each edge's SlabPool is
   /// split into per-node arenas and StageBuffers route slabs through the
   /// producer tile's arena, so inter-stage storage recycles node-locally.
   runtime::NumaMode numa = runtime::NumaMode::kOff;
 };
+
+/// Options of an engine that runs a `stages`-stage pipeline: named after
+/// the pipeline, threads_per_stage x stages workers (0 = hardware).
+runtime::EngineOptions engine_options(const PipelineOptions& options,
+                                      std::size_t stages);
 
 /// Per-submit hooks of one pipelined frame. The empty default reproduces
 /// submit(seed) exactly: external inputs stream synthetic data derived
@@ -142,20 +147,20 @@ class PipelineHandle {
   std::shared_ptr<detail::FrameCtx> ctx_;
 };
 
-/// Tile-granular dataflow scheduler over a StageGraph: one FrameEngine per
-/// stage (its tile designs pinned in the stage's cache), one deferred
-/// frame per stage per submitted seed, and a DependencyTracker releasing
-/// each consumer tile the moment the producer tiles covering its halo have
-/// resolved. Stage k+1 starts consuming while stage k is still producing;
-/// inter-stage data moves through bounded StageBuffers that retire
-/// producer tiles as soon as their last consumer is served.
+/// Tile-granular dataflow scheduler over a StageGraph: one FrameEngine
+/// runs every stage (each stage's tile designs pinned in its cache), one
+/// deferred frame per stage per submitted seed, and a DependencyTracker
+/// releasing each consumer tile the moment the producer tiles covering
+/// its halo have resolved. Stage k+1 starts consuming while stage k is
+/// still producing; inter-stage data moves through bounded StageBuffers
+/// that retire producer tiles as soon as their last consumer is served.
 ///
-/// Successive frames pipeline across the same engines: frames are
+/// Successive frames pipeline across the same engine: frames are
 /// data-independent, so while frame f's sink tiles drain, frame f+1's
 /// source tiles already run in whatever workers go idle, up to
 /// max_frames_in_flight frames at once (the admission window -- submit()
-/// blocks while it is full). Steady state re-arms live engines over the
-/// plans and pinned designs resolved at construction and recycles all
+/// blocks while it is full). Steady state re-arms the live engine over
+/// the plans and pinned designs resolved at construction and recycles all
 /// inter-stage slab storage through per-edge SlabPools, so pumping frames
 /// performs no per-tile heap allocation and no design-cache lookups.
 class PipelineExecutor {
@@ -165,7 +170,13 @@ class PipelineExecutor {
     kCancelPending,  ///< abort in-flight frames, then stop
   };
 
-  explicit PipelineExecutor(StageGraph graph, PipelineOptions options = {});
+  /// Runs on `engine` when given (the temporal runner shares one across
+  /// its pass shapes; the engine fields of `options` are then unused and
+  /// the owner stops it). Otherwise builds and owns
+  /// engine_options(options, stage count).
+  explicit PipelineExecutor(
+      StageGraph graph, PipelineOptions options = {},
+      std::shared_ptr<runtime::FrameEngine> engine = nullptr);
   ~PipelineExecutor();  // shutdown(kCancelPending) if still running
 
   PipelineExecutor(const PipelineExecutor&) = delete;
@@ -174,13 +185,10 @@ class PipelineExecutor {
   /// Starts one frame: every external input array streams synthetic data
   /// derived from `seed` (exactly as a standalone engine frame would), and
   /// edge-fed inputs stream upstream output. Source-stage tiles are
-  /// released immediately; the rest follow their dependencies. Throws
-  /// Error after shutdown.
-  PipelineHandle submit(std::uint64_t seed);
-
-  /// submit with per-frame hooks (external-input feed override); see
-  /// FrameOptions.
-  PipelineHandle submit(std::uint64_t seed, FrameOptions frame);
+  /// released immediately; the rest follow their dependencies. `frame`
+  /// carries the per-frame hooks (see FrameOptions). Throws Error after
+  /// shutdown.
+  PipelineHandle submit(std::uint64_t seed, FrameOptions frame = {});
 
   /// Atomically admits a whole group of frames under the admission window:
   /// blocks until frames_active + seeds.size() fits, reserves every slot
@@ -198,8 +206,8 @@ class PipelineExecutor {
 
   const StageGraph& graph() const;
 
-  /// The per-stage engine (for stats; stage id = graph stage id).
-  runtime::FrameEngine& engine(std::size_t stage);
+  /// The engine every stage runs on (for stats and plans).
+  runtime::FrameEngine& engine();
 
   void shutdown(Drain mode = Drain::kDrainAll);
 

@@ -65,7 +65,7 @@ class DesignCache {
   /// gauges, compile-latency histogram);
   /// nullptr selects the process-wide obs::Registry::global(). A non-empty
   /// `label` namespaces the metrics as cache.<label>.* so several caches
-  /// (one per pipeline stage engine) publish distinct series.
+  /// (one per named engine) publish distinct series.
   explicit DesignCache(std::size_t capacity = 64,
                        obs::Registry* registry = nullptr,
                        const std::string& label = {});

@@ -109,11 +109,13 @@ struct Job {
 
 /// Kernel-visible thread name ("nup-w<node>.<i>", 15-char limit) so
 /// traces, postmortem bundles and TSan reports attribute work to the
-/// right pool.
-void set_os_thread_name(const std::string& name) {
+/// right pool. Set by the constructing thread, so the name is in place
+/// before the engine constructor returns.
+void set_os_thread_name(std::thread& thread, const std::string& name) {
 #if defined(__linux__)
-  pthread_setname_np(pthread_self(), name.substr(0, 15).c_str());
+  pthread_setname_np(thread.native_handle(), name.substr(0, 15).c_str());
 #else
+  (void)thread;
   (void)name;
 #endif
 }
@@ -213,6 +215,10 @@ std::vector<std::size_t> worker_nodes(std::size_t threads,
   return out;
 }
 
+/// The engine (its Impl) whose worker the calling thread is; null on
+/// every other thread. push_job's test for "released from a worker".
+thread_local const void* tl_worker_of = nullptr;
+
 }  // namespace
 
 struct FrameEngine::Impl {
@@ -234,7 +240,8 @@ struct FrameEngine::Impl {
   std::condition_variable not_full;   // submitters wait for space
   /// One run queue per node; a tile is enqueued on its placed node and
   /// stolen cross-node only by idle workers. Each queue is bounded by
-  /// options.queue_capacity.
+  /// options.queue_capacity for pushes from outside the pool; see
+  /// push_job.
   std::vector<std::deque<Job>> queues;
   bool accepting = true;
   bool stopping = false;
@@ -489,26 +496,39 @@ struct FrameEngine::Impl {
     }
   }
 
+  /// Accounts for one tile that will not run: counters, journal event,
+  /// trace instant, tile hook. The caller counts it down.
+  void note_skipped(FrameState& frame, std::size_t tile_idx) {
+    frame.skipped.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(stats_mu);
+      ++counts.tiles_skipped;
+    }
+    m_tiles_skipped->inc();
+    journal->record(obs::JournalKind::kTileSkipped, frame.options.frame_id,
+                    frame.options.stage, static_cast<std::int64_t>(tile_idx),
+                    0, 0, jname);
+    // Skipped tiles leave no open span behind: a zero-duration instant
+    // marks them so a trace of a cancelled frame still accounts for
+    // every tile.
+    obs::Tracer& tracer = obs::Tracer::global();
+    if (tracer.enabled()) tracer.instant("tile.skipped", "engine");
+    if (frame.options.on_tile) frame.options.on_tile(tile_idx, nullptr, false);
+  }
+
+  /// Resolves one tile as skipped without touching the queues (so it
+  /// never blocks) and marks its frame cancelled.
+  void skip(FrameState& frame, std::size_t tile_idx) {
+    frame.cancelled.store(true, std::memory_order_relaxed);
+    note_skipped(frame, tile_idx);
+    finish_tiles(frame, 1);
+  }
+
   void run_tile(FrameState& frame, const Tile& tile, std::size_t tile_idx,
                 obs::Counter& worker_busy_us, obs::Counter& worker_tiles) {
     obs::Tracer& tracer = obs::Tracer::global();
     if (frame.cancelled.load(std::memory_order_relaxed)) {
-      frame.skipped.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ++counts.tiles_skipped;
-      }
-      m_tiles_skipped->inc();
-      journal->record(obs::JournalKind::kTileSkipped,
-                      frame.options.frame_id, frame.options.stage,
-                      static_cast<std::int64_t>(tile_idx), 0, 0, jname);
-      // Skipped tiles leave no open span behind: a zero-duration instant
-      // marks them so a trace of a cancelled frame still accounts for
-      // every tile.
-      if (tracer.enabled()) tracer.instant("tile.skipped", "engine");
-      if (frame.options.on_tile) {
-        frame.options.on_tile(tile_idx, nullptr, false);
-      }
+      note_skipped(frame, tile_idx);
       return;
     }
     frame.executed.fetch_add(1, std::memory_order_relaxed);
@@ -666,10 +686,8 @@ struct FrameEngine::Impl {
     }
   }
 
-  void worker_loop(std::size_t worker, std::size_t node,
-                   std::size_t node_slot) {
-    set_os_thread_name("nup-w" + std::to_string(node) + "." +
-                       std::to_string(node_slot));
+  void worker_loop(std::size_t worker, std::size_t node) {
+    tl_worker_of = this;
     obs::Tracer::global().set_thread_name(
         (options.name.empty() ? std::string() : options.name + ".") +
         "worker-" + std::to_string(worker));
@@ -724,19 +742,29 @@ struct FrameEngine::Impl {
     }
   }
 
-  /// Enqueues one tile on its placed node's queue, blocking while that
-  /// queue is full (backpressure). Returns false when shutdown raced the
+  /// Enqueues one tile on its placed node's queue. A caller outside the
+  /// pool blocks while that queue is full (backpressure). One of this
+  /// engine's workers never waits -- it may be the only thread able to
+  /// drain the queue -- and pushes to the front, so the tiles it readies
+  /// run before fresh submissions. Returns false when shutdown raced the
   /// push. Observes the backpressure wait and notifies a worker.
   bool push_job(Job job, std::size_t node) {
+    const bool from_worker = tl_worker_of == this;
     std::size_t depth = 0;
     const auto w0 = std::chrono::steady_clock::now();
     {
       std::unique_lock<std::mutex> lock(qmu);
-      not_full.wait(lock, [&] {
-        return queues[node].size() < options.queue_capacity || !accepting;
-      });
+      if (!from_worker) {
+        not_full.wait(lock, [&] {
+          return queues[node].size() < options.queue_capacity || !accepting;
+        });
+      }
       if (!accepting) return false;
-      queues[node].push_back(std::move(job));
+      if (from_worker) {
+        queues[node].push_front(std::move(job));
+      } else {
+        queues[node].push_back(std::move(job));
+      }
       const std::size_t total = total_depth_locked();
       max_queue_depth = std::max(max_queue_depth, total);
       depth = total;
@@ -745,6 +773,20 @@ struct FrameEngine::Impl {
     note_queue_depth(depth);
     not_empty.notify_one();
     return true;
+  }
+
+  /// The frame behind a deferred-tile call, with the handle and index
+  /// checked.
+  static FrameState& deferred_tile(FrameState* frame, std::size_t tile_idx,
+                                   const char* what) {
+    if (!frame) {
+      throw Error(std::string("FrameEngine::") + what + " on an empty handle");
+    }
+    if (tile_idx >= frame->plan->tiles.size()) {
+      throw Error(std::string("FrameEngine::") + what + ": tile " +
+                  std::to_string(tile_idx) + " out of range");
+    }
+    return *frame;
   }
 
   /// Node a tile of this frame is placed on (0 when single-node).
@@ -771,8 +813,9 @@ FrameEngine::FrameEngine(EngineOptions options)
   for (std::size_t t = 0; t < im.thread_count; ++t) {
     const std::size_t node = nodes[t];
     const std::size_t slot = slots[node]++;
-    im.workers.emplace_back(
-        [&im, t, node, slot] { im.worker_loop(t, node, slot); });
+    im.workers.emplace_back([&im, t, node] { im.worker_loop(t, node); });
+    set_os_thread_name(im.workers.back(), "nup-w" + std::to_string(node) +
+                                              "." + std::to_string(slot));
   }
 }
 
@@ -785,19 +828,18 @@ std::shared_ptr<const TilePlan> FrameEngine::plan_for(
   topts.tile_shape = im.options.tile_shape.empty()
                          ? auto_tile_shape(program, im.thread_count)
                          : im.options.tile_shape;
+  std::lock_guard<std::mutex> lock(im.plans_mu);
   // Unlike the design cache, plans must NOT be shared across programs
   // that differ only in kernel: plan_tiles embeds the kernel in every
-  // tile's program, so two same-shaped stencils with different kernels
-  // (jacobi vs denoise) need distinct plans. The name stands in for the
-  // kernel identity (a std::function has none).
-  std::string key = program.name() + "|";
-  key += DesignCache::canonical_key(program, im.options.build);
-  key += "|tile=";
+  // tile's program, so the key carries the kernel identity next to the
+  // kernel-blind design key. Built under the lock: the identity may
+  // materialize the program's lazy default kernel.
+  std::string key = DesignCache::canonical_key(program, im.options.build);
+  key += "|kernel=" + program.kernel_identity() + "|tile=";
   for (const std::int64_t s : topts.tile_shape) {
     key += std::to_string(s) + ",";
   }
 
-  std::lock_guard<std::mutex> lock(im.plans_mu);
   const auto found = im.plans.find(key);
   if (found != im.plans.end()) return found->second;
   auto plan = std::make_shared<const TilePlan>(plan_tiles(program, topts));
@@ -808,11 +850,6 @@ std::shared_ptr<const TilePlan> FrameEngine::plan_for(
   }
   im.plans.emplace(std::move(key), plan);
   return plan;
-}
-
-FrameHandle FrameEngine::submit(const stencil::StencilProgram& program,
-                                std::uint64_t seed) {
-  return submit(program, seed, SubmitOptions{});
 }
 
 FrameHandle FrameEngine::submit(const stencil::StencilProgram& program,
@@ -871,26 +908,15 @@ FrameHandle FrameEngine::submit(std::shared_ptr<const TilePlan> plan,
     return FrameHandle(frame);
   }
 
-  std::size_t pushed = 0;
   for (std::size_t t = 0; t < plan->tiles.size(); ++t) {
     // Sticky dispatch: the tile lands on its placed node's queue.
     // push_job blocks while that queue is full (backpressure, observed in
     // the histogram on every push so it stays a wait distribution) and
-    // fails only when shutdown raced this submission.
-    if (!im.push_job(Job{frame, t}, im.node_of(*frame, t))) break;
-    ++pushed;
-  }
-  if (pushed < plan->tiles.size()) {
-    const std::int64_t n =
-        static_cast<std::int64_t>(plan->tiles.size() - pushed);
-    frame->cancelled.store(true, std::memory_order_relaxed);
-    frame->skipped.fetch_add(n, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(im.stats_mu);
-      im.counts.tiles_skipped += n;
+    // fails only when shutdown raced this submission: that tile and the
+    // rest resolve as skipped.
+    if (!im.push_job(Job{frame, t}, im.node_of(*frame, t))) {
+      im.skip(*frame, t);
     }
-    im.m_tiles_skipped->add(n);
-    im.finish_tiles(*frame, n);
   }
   return FrameHandle(frame);
 }
@@ -898,62 +924,26 @@ FrameHandle FrameEngine::submit(std::shared_ptr<const TilePlan> plan,
 void FrameEngine::release_tile(const FrameHandle& frame,
                                std::size_t tile_idx) {
   Impl& im = *impl_;
-  if (!frame.state_) {
-    throw Error("FrameEngine::release_tile on an empty handle");
+  FrameState& state =
+      im.deferred_tile(frame.state_.get(), tile_idx, "release_tile");
+  if (!im.push_job(Job{frame.state_, tile_idx},
+                   im.node_of(state, tile_idx))) {
+    // Shutdown raced the release: the tile resolves as skipped so the
+    // deferred frame still terminates.
+    im.skip(state, tile_idx);
   }
-  FrameState& state = *frame.state_;
-  if (tile_idx >= state.plan->tiles.size()) {
-    throw Error("FrameEngine::release_tile: tile " +
-                std::to_string(tile_idx) + " out of range");
-  }
-
-  if (im.push_job(Job{frame.state_, tile_idx},
-                  im.node_of(state, tile_idx))) {
-    return;
-  }
-
-  // Shutdown raced the release: the tile resolves as skipped so the
-  // deferred frame still terminates (mirrors submit()'s truncation path).
-  state.cancelled.store(true, std::memory_order_relaxed);
-  state.skipped.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(im.stats_mu);
-    ++im.counts.tiles_skipped;
-  }
-  im.m_tiles_skipped->inc();
-  im.journal->record(obs::JournalKind::kTileSkipped,
-                     state.options.frame_id, state.options.stage,
-                     static_cast<std::int64_t>(tile_idx), 0, 0, im.jname);
-  if (state.options.on_tile) state.options.on_tile(tile_idx, nullptr, false);
-  im.finish_tiles(state, 1);
 }
 
 void FrameEngine::skip_tile(const FrameHandle& frame,
                             std::size_t tile_idx) {
   Impl& im = *impl_;
-  if (!frame.state_) {
-    throw Error("FrameEngine::skip_tile on an empty handle");
-  }
-  FrameState& state = *frame.state_;
-  if (tile_idx >= state.plan->tiles.size()) {
-    throw Error("FrameEngine::skip_tile: tile " + std::to_string(tile_idx) +
-                " out of range");
-  }
-  state.cancelled.store(true, std::memory_order_relaxed);
-  state.skipped.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(im.stats_mu);
-    ++im.counts.tiles_skipped;
-  }
-  im.m_tiles_skipped->inc();
-  im.journal->record(obs::JournalKind::kTileSkipped,
-                     state.options.frame_id, state.options.stage,
-                     static_cast<std::int64_t>(tile_idx), 0, 0, im.jname);
-  if (state.options.on_tile) state.options.on_tile(tile_idx, nullptr, false);
-  im.finish_tiles(state, 1);
+  im.skip(im.deferred_tile(frame.state_.get(), tile_idx, "skip_tile"),
+          tile_idx);
 }
 
 DesignCache& FrameEngine::cache() { return impl_->cache; }
+
+const EngineOptions& FrameEngine::options() const { return impl_->options; }
 
 const Topology& FrameEngine::topology() const { return impl_->topo; }
 

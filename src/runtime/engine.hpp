@@ -30,15 +30,16 @@ struct EngineOptions {
   /// Instance label. Empty keeps the historical flat metric names
   /// (engine.queue_depth, cache.hits, ...); non-empty namespaces them as
   /// engine.<name>.* / cache.<name>.* so several engines in one process
-  /// (a pipeline of per-stage engines) publish distinct series instead of
-  /// aggregating into one.
+  /// (a server next to a pipeline, say) publish distinct series instead
+  /// of aggregating into one.
   std::string name;
 
   /// Worker threads; 0 means std::thread::hardware_concurrency (min 1).
   std::size_t threads = 0;
 
-  /// Bound of the tile submission queue. submit() blocks (backpressure)
-  /// while the queue is full; workers drain it one tile at a time.
+  /// Bound of the tile submission queue. submit() and release_tile() from
+  /// outside the pool block (backpressure) while the queue is full; the
+  /// workers' own releases never wait (see release_tile).
   std::size_t queue_capacity = 64;
 
   /// Tile extents per dimension; empty selects an automatic shape that
@@ -102,9 +103,9 @@ struct SubmitOptions {
   /// tile was skipped / failed (ok == false). `outputs` points at the
   /// frame's full output vector; only this tile's output_ranks entries are
   /// safe to read (other tiles may still be written concurrently). It is
-  /// nullptr for skipped tiles. The hook may block (e.g. releasing a
-  /// downstream tile against a full queue): it runs before the tile is
-  /// counted done, so the frame resolves only after every hook returned.
+  /// nullptr for skipped tiles. It runs before the tile is counted done,
+  /// so the frame resolves only after every hook returned. Tiles it
+  /// releases into the same engine never block (see release_tile).
   std::function<void(std::size_t tile_idx, const double* outputs, bool ok)>
       on_tile;
 
@@ -239,14 +240,10 @@ class FrameEngine {
   /// Enqueues one frame. First use of a program tiles it and pre-compiles
   /// every tile design into the cache (in the calling thread); subsequent
   /// frames reuse both. Blocks while the tile queue is full; throws Error
-  /// after shutdown.
+  /// after shutdown. `options` carries the per-frame hooks (custom feeds,
+  /// tile-resolution callback, deferred tile release).
   FrameHandle submit(const stencil::StencilProgram& program,
-                     std::uint64_t seed);
-
-  /// submit with per-frame hooks (custom feeds, tile-resolution callback,
-  /// deferred tile release). See SubmitOptions.
-  FrameHandle submit(const stencil::StencilProgram& program,
-                     std::uint64_t seed, SubmitOptions options);
+                     std::uint64_t seed, SubmitOptions options = {});
 
   /// Re-arms a frame over an already-registered tile plan (as returned by
   /// plan_for): no canonicalization, no plan lookup, no compilation --
@@ -256,21 +253,25 @@ class FrameEngine {
                      std::uint64_t seed, SubmitOptions options = {});
 
   /// Hands one tile of a deferred frame to the workers (see
-  /// SubmitOptions::deferred). Blocks while the tile queue is full
-  /// (cross-stage backpressure when called from an upstream engine's
-  /// worker). After shutdown the tile resolves as skipped instead of
-  /// enqueuing, so a deferred frame still terminates. Releasing the same
-  /// tile twice is the caller's bug; the engine does not dedupe.
+  /// SubmitOptions::deferred). Blocks while the tile queue is full --
+  /// except on one of this engine's workers, which may be the only thread
+  /// left to drain it: their tiles skip the wait and run before
+  /// caller-submitted ones, so in-flight frames drain first. After
+  /// shutdown the tile resolves as skipped instead of enqueuing, so a
+  /// deferred frame still terminates. Releasing the same tile twice is
+  /// the caller's bug; the engine does not dedupe.
   void release_tile(const FrameHandle& frame, std::size_t tile_idx);
 
   /// Resolves one tile of a deferred frame as skipped without touching the
-  /// queue. Never blocks -- the cancellation path of a pipeline abort uses
-  /// it from worker threads, where blocking on a full queue of the same
-  /// engine would self-deadlock. Marks the frame cancelled.
+  /// queue. Never blocks (the cancellation path of a pipeline abort). Marks
+  /// the frame cancelled.
   void skip_tile(const FrameHandle& frame, std::size_t tile_idx);
 
   /// The embedded design cache (for pinning a pipeline stage's designs).
   DesignCache& cache();
+
+  /// The options the engine was built with (threads as given, 0 = auto).
+  const EngineOptions& options() const;
 
   /// Tile plan the engine uses for this program (registering it if new).
   std::shared_ptr<const TilePlan> plan_for(

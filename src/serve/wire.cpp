@@ -38,6 +38,18 @@ std::vector<std::string> split_words(const std::string& line) {
   return words;
 }
 
+/// Tenant names become metric series (serve.tenant.<name>.*) and
+/// OpenMetrics labels: [A-Za-z0-9_-]{1,64}.
+bool valid_tenant_name(const std::string& name) {
+  if (name.empty() || name.size() > 64) return false;
+  for (const char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == '-';
+    if (!ok) return false;
+  }
+  return true;
+}
+
 bool parse_u64(const std::string& word, std::uint64_t* value) {
   if (word.empty()) return false;
   std::uint64_t v = 0;
@@ -59,8 +71,14 @@ struct ServeEndpoint::Impl {
   std::thread acceptor;
   std::atomic<bool> running{false};
   std::mutex conn_mu;
-  std::vector<std::thread> conn_threads;
-  std::vector<int> conn_fds;  ///< open connection fds (for stop())
+  std::unordered_map<std::uint64_t, std::thread> conn_threads;  ///< by id
+  std::uint64_t next_conn = 0;
+  /// Connections whose thread has finished; joined on the next accept.
+  std::vector<std::uint64_t> finished;
+  /// Open connection fds (for stop()). A connection leaves this list
+  /// before its fd is closed, so stop() never shuts down a number the OS
+  /// has already handed to someone else.
+  std::vector<int> conn_fds;
 
   /// One tenant session: line in, line out, until QUIT or EOF. An EOF
   /// without QUIT counts as the tenant vanishing mid-flight.
@@ -78,6 +96,8 @@ struct ServeEndpoint::Impl {
       } else if (words[0] == "HELLO") {
         if (words.size() != 2) {
           reply = "ERR usage: HELLO <tenant>";
+        } else if (!valid_tenant_name(words[1])) {
+          reply = "ERR bad tenant name";
         } else {
           tenant = words[1];
           server->register_tenant(tenant, TenantQuota{});
@@ -149,16 +169,39 @@ struct ServeEndpoint::Impl {
     }
   }
 
+  /// A connection thread: the session, then the fd leaves conn_fds
+  /// before it is closed, and the thread marks itself for joining.
+  void run(int fd, std::uint64_t id) {
+    serve_connection(fd);
+    {
+      std::lock_guard<std::mutex> lock(conn_mu);
+      std::erase(conn_fds, fd);
+      finished.push_back(id);
+    }
+    ::close(fd);
+  }
+
   void accept_loop() {
     while (running.load(std::memory_order_acquire)) {
       const int fd = listener->accept_client();
       if (fd < 0) break;  // listener shut down
-      std::lock_guard<std::mutex> lock(conn_mu);
-      conn_fds.push_back(fd);
-      conn_threads.emplace_back([this, fd] {
-        serve_connection(fd);
-        ::close(fd);
-      });
+      std::vector<std::thread> done;
+      {
+        std::lock_guard<std::mutex> lock(conn_mu);
+        for (const std::uint64_t id : finished) {
+          const auto it = conn_threads.find(id);
+          done.push_back(std::move(it->second));
+          conn_threads.erase(it);
+        }
+        finished.clear();
+        const std::uint64_t id = next_conn++;
+        conn_fds.push_back(fd);
+        conn_threads.emplace(id,
+                             std::thread([this, fd, id] { run(fd, id); }));
+      }
+      // Finished threads only have their close() left; joining them keeps
+      // conn_threads at the live connections.
+      for (std::thread& t : done) t.join();
     }
   }
 };
@@ -196,18 +239,15 @@ void ServeEndpoint::stop() {
   }
   im.listener->shutdown();  // unblocks accept_client()
   if (im.acceptor.joinable()) im.acceptor.join();
-  std::vector<std::thread> threads;
+  std::unordered_map<std::uint64_t, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(im.conn_mu);
     // Force readers off their sockets; the threads then fall out of
     // their loops (fds are closed by the threads themselves).
     for (const int fd : im.conn_fds) ::shutdown(fd, SHUT_RDWR);
     threads.swap(im.conn_threads);
-    im.conn_fds.clear();
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, t] : threads) t.join();
   im.listener.reset();
 }
 

@@ -29,7 +29,10 @@ struct ServeEndpointOptions {
 ///                          queued=<n> inflight=<n>
 ///   QUIT                -> OK bye               (graceful close)
 ///
-/// Anything malformed answers `ERR <reason>` and keeps the connection.
+/// A tenant name is [A-Za-z0-9_-]{1,64} (it becomes the serve.tenant.*
+/// metric namespace); any other answers `ERR bad tenant name` and
+/// registers nothing. Anything malformed answers `ERR <reason>` and keeps
+/// the connection.
 /// `checksum` is the FNV-1a hash of the frame's output bit patterns
 /// (serve::output_checksum), so a remote client can verify bit-identity
 /// against a local golden run without shipping the frame.

@@ -1,6 +1,7 @@
 #include "stencil/program.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -145,6 +146,7 @@ void StencilProgram::set_block_kernel(BlockKernelFn kernel) {
   };
   block_ = std::move(kernel);
   weights_.clear();
+  kernel_id_ = fresh_kernel_id();
 }
 
 void StencilProgram::copy_kernel_from(const StencilProgram& other) {
@@ -163,6 +165,26 @@ void StencilProgram::copy_kernel_from(const StencilProgram& other) {
   } else {
     set_kernel(kernel);
   }
+  kernel_id_ = other.kernel_id_;
+}
+
+std::uint64_t StencilProgram::fresh_kernel_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::string StencilProgram::kernel_identity() const {
+  const std::vector<double>& weights = weighted_sum_weights();
+  if (kernel_id_ != 0 || weights.empty()) {
+    return "k:" + std::to_string(kernel_id_);
+  }
+  std::string out = "w:";
+  for (const double w : weights) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &w, sizeof(bits));
+    out += std::to_string(bits) + ",";
+  }
+  return out;
 }
 
 BlockKernelFn StencilProgram::block_kernel() const {

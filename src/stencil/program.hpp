@@ -63,6 +63,7 @@ class StencilProgram {
     kernel_ = std::move(kernel);
     block_ = nullptr;
     weights_.clear();  // an opaque kernel carries no weight structure
+    kernel_id_ = fresh_kernel_id();
   }
 
   /// Installs a weighted-sum kernel AND records the weights so backends can
@@ -72,6 +73,7 @@ class StencilProgram {
     weights_ = weights;
     kernel_ = make_weighted_sum(std::move(weights));
     block_ = nullptr;
+    kernel_id_ = 0;
   }
 
   /// Installs a kernel given in block form (see BlockKernelFn). Its arity is
@@ -91,6 +93,13 @@ class StencilProgram {
   /// set_weighted_sum, or the lazy equal-weight default); empty for opaque
   /// kernels set through set_kernel.
   const std::vector<double>& weighted_sum_weights() const;
+
+  /// Identity of the kernel, for keying anything that embeds it: "w:" and
+  /// the weight bits for a weighted sum (the lazy default included), "k:"
+  /// and a process-unique id assigned when an opaque or block kernel is
+  /// installed. Copies of a program and copy_kernel_from keep the identity,
+  /// so equal identities always mean the same function.
+  std::string kernel_identity() const;
 
   const std::string& name() const { return name_; }
   const poly::Domain& iteration() const { return iteration_; }
@@ -141,6 +150,10 @@ class StencilProgram {
   /// by the set_* kernel installers. Lazily filled with the equal-weight
   /// default alongside default_kernel_.
   mutable std::vector<double> weights_;
+  /// Process-unique id of an opaque or block kernel; 0 for weighted sums.
+  std::uint64_t kernel_id_ = 0;
+
+  static std::uint64_t fresh_kernel_id();
 };
 
 }  // namespace nup::stencil

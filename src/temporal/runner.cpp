@@ -76,18 +76,29 @@ TemporalRunner::TemporalRunner(const stencil::StencilProgram& program,
                                        : &obs::Journal::global();
   jname_ = journal_->intern("temporal." + effective);
 
+  pipeline::PipelineOptions po = options_.pipeline;
+  po.name = effective;
+  if (config.boundary == stencil::BoundaryPolicy::kWrap) {
+    // A wrapped halo read reaches the opposite edge of the grid, so a
+    // consumer tile may need any producer row: force whole-frame tiles
+    // (<= 0 extents select the full dimension).
+    po.tile_shape.assign(program.dim(), 0);
+  }
+  // One engine for every pass shape, with a worker per stage of the
+  // largest shape: passes of different shapes share its pool and cache.
+  std::size_t stages = 0;
+  for (const PassShape& shape : schedule_.shapes) {
+    stages = std::max(stages, shape.graph.stage_count());
+  }
+  engine_ = std::make_shared<runtime::FrameEngine>(
+      pipeline::engine_options(po, stages));
   for (std::size_t k = 0; k < schedule_.shapes.size(); ++k) {
-    pipeline::PipelineOptions po = options_.pipeline;
-    po.name = effective;
-    if (schedule_.shapes.size() > 1) po.name += ".sh" + std::to_string(k);
-    if (config.boundary == stencil::BoundaryPolicy::kWrap) {
-      // A wrapped halo read reaches the opposite edge of the grid, so a
-      // consumer tile may need any producer row: force whole-frame tiles
-      // (<= 0 extents select the full dimension).
-      po.tile_shape.assign(program.dim(), 0);
+    pipeline::PipelineOptions shape_options = po;
+    if (schedule_.shapes.size() > 1) {
+      shape_options.name += ".sh" + std::to_string(k);
     }
     executors_.push_back(std::make_unique<pipeline::PipelineExecutor>(
-        schedule_.shapes[k].graph, std::move(po)));
+        schedule_.shapes[k].graph, std::move(shape_options), engine_));
   }
 }
 
@@ -99,6 +110,7 @@ void TemporalRunner::shutdown() {
   for (auto& executor : executors_) {
     executor->shutdown(pipeline::PipelineExecutor::Drain::kDrainAll);
   }
+  engine_->shutdown(runtime::FrameEngine::Drain::kDrainAll);
 }
 
 pipeline::PipelineHandle TemporalRunner::submit_pass(
@@ -287,14 +299,7 @@ std::vector<FrameOutcome> TemporalRunner::run_frames(
 }
 
 std::size_t TemporalRunner::pinned_designs() const {
-  std::size_t pinned = 0;
-  for (const auto& executor : executors_) {
-    for (std::size_t s = 0; s < executor->graph().stage_count(); ++s) {
-      pinned += static_cast<std::size_t>(
-          executor->engine(s).stats().cache.pinned);
-    }
-  }
-  return pinned;
+  return engine_->stats().cache.pinned;
 }
 
 }  // namespace nup::temporal

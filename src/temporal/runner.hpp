@@ -15,12 +15,12 @@ namespace nup::temporal {
 
 /// How the runner drives the unrolled schedule.
 struct RunnerOptions {
-  /// Options of the underlying pipeline executors (threads, tile shape,
-  /// build options including datapath_width, metrics registry, admission
-  /// window). The runner derives one executor per distinct pass shape; a
-  /// non-empty name namespaces their metrics per shape. kWrap overrides
-  /// the tile shape to whole-frame tiles (a wrapped read reaches the
-  /// opposite edge of the grid, so the stitched slice must span it).
+  /// Options of the engine (threads_per_stage x the largest shape's
+  /// stages) and of the executors, one per pass shape, that share it;
+  /// with several shapes their pipeline.* metrics are named <name>.sh<k>.
+  /// kWrap overrides the tile shape to whole-frame tiles (a wrapped read
+  /// reaches the opposite edge of the grid, so the stitched slice must
+  /// span it).
   pipeline::PipelineOptions pipeline;
 
   /// Convergence monitor: when > 0, the runner compares successive pass
@@ -55,14 +55,14 @@ struct FrameOutcome {
 };
 
 /// Drives a temporal-blocking schedule end to end: plans the replica
-/// chains (plan_temporal), builds one PipelineExecutor per distinct pass
-/// shape -- each stage engine sizes its replica's reuse FIFOs
-/// non-uniformly via the arch builder, honoring datapath_width -- and
-/// pumps ceil(T/B) passes per frame through them, chaining pass p+1's
-/// external input to pass p's sink output via FrameOptions. Multiple
-/// frames overlap: while frame f's later passes drain, frame f+1's early
-/// passes already stream (cross-frame admission at both the temporal and
-/// the executor level).
+/// chains (plan_temporal), builds one FrameEngine and on it one
+/// PipelineExecutor per distinct pass shape -- each replica stage's reuse
+/// FIFOs are sized non-uniformly via the arch builder, honoring
+/// datapath_width -- and pumps ceil(T/B) passes per frame through them,
+/// chaining pass p+1's external input to pass p's sink output via
+/// FrameOptions. Multiple frames overlap: while frame f's later passes
+/// drain, frame f+1's early passes already stream (cross-frame admission
+/// at both the temporal and the executor level).
 ///
 /// Publishes temporal.<name>.{passes_completed, generations_completed,
 /// frames_completed, converged_frames, generations_saved} counters and a
@@ -91,13 +91,13 @@ class TemporalRunner {
   /// Number of executors (one per distinct pass shape).
   std::size_t executor_count() const { return executors_.size(); }
 
-  /// Sum of per-tile designs pinned across every stage engine of every
-  /// executor: the non-uniformly partitioned replica microarchitectures
-  /// resident for steady-state serving.
+  /// Distinct per-tile designs pinned in the engine's cache: the
+  /// non-uniformly partitioned replica microarchitectures resident for
+  /// steady-state serving.
   std::size_t pinned_designs() const;
 
-  /// Stops all executors (draining in-flight work). Idempotent; run()
-  /// fails afterwards.
+  /// Stops all executors (draining in-flight work), then the engine.
+  /// Idempotent; run() fails afterwards.
   void shutdown();
 
  private:
@@ -118,6 +118,7 @@ class TemporalRunner {
   std::string metric_prefix_;
   obs::Journal* journal_ = nullptr;
   std::uint32_t jname_ = 0;
+  std::shared_ptr<runtime::FrameEngine> engine_;
   std::vector<std::unique_ptr<pipeline::PipelineExecutor>> executors_;
   bool shut_down_ = false;
 

@@ -11,6 +11,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
@@ -249,6 +253,60 @@ TEST(PipelineExecutor, DiamondGraphJoinsBitIdentically) {
   EXPECT_EQ(result.stages[3].outputs, expect);
 }
 
+TEST(PipelineExecutor, OneWorkerFanOutNeverBlocksOnItsOwnQueue) {
+  // s0 -> {s1, s2} on a single worker with a one-tile queue: every
+  // consumer tile is released by the only thread that can drain the
+  // queue. Had the release waited for space, the worker would wait on
+  // itself; instead it queues past the bound and runs consumers first.
+  StageGraph graph;
+  const stencil::StencilProgram src = smoother("SRC", 1, 24, 14);
+  const stencil::StencilProgram left = smoother("L", 2, 24, 14);
+  stencil::StencilProgram right = smoother("R", 2, 24, 14);
+  right.set_weighted_sum({0.3, 0.1, 0.2, 0.1, 0.3});
+  graph.add_stage(src);
+  graph.add_stage(left);
+  graph.add_stage(right);
+  graph.add_edge(0, 1);
+  graph.add_edge(0, 2);
+
+  runtime::EngineOptions eo;
+  eo.threads = 1;
+  eo.queue_capacity = 1;
+  eo.tile_shape = {2, 0};
+  auto engine = std::make_shared<runtime::FrameEngine>(eo);
+  PipelineOptions options;
+  options.max_frames_in_flight = 4;
+  PipelineExecutor executor(std::move(graph), options, engine);
+
+  std::promise<std::vector<PipelineResult>> promise;
+  std::future<std::vector<PipelineResult>> pumped = promise.get_future();
+  std::thread pump([&executor, &promise] {
+    std::vector<PipelineHandle> handles;
+    for (std::uint64_t seed = 0; seed < 16; ++seed) {
+      handles.push_back(executor.submit(seed));
+    }
+    std::vector<PipelineResult> results;
+    for (PipelineHandle& h : handles) results.push_back(h.wait());
+    promise.set_value(std::move(results));
+  });
+  if (pumped.wait_for(std::chrono::seconds(120)) !=
+      std::future_status::ready) {
+    // A deadlocked pool cannot be shut down; end the process instead of
+    // hanging the suite.
+    std::fprintf(stderr, "16 frames did not complete: self-deadlock\n");
+    std::_Exit(1);
+  }
+  pump.join();
+  const std::vector<PipelineResult> results = pumped.get();
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    const PipelineResult& r = results[seed];
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.stages[1].outputs, reference_chain({src, left}, seed));
+    EXPECT_EQ(r.stages[2].outputs, reference_chain({src, right}, seed));
+  }
+  EXPECT_EQ(engine->stats().frames_completed, 3 * 16);
+}
+
 // ---- pipelining behaviour ----------------------------------------------
 
 TEST(PipelineExecutor, StageBuffersRetireInsteadOfHoldingTheFrame) {
@@ -391,8 +449,8 @@ TEST(PipelineExecutor, SteadyStateRecyclesSlabsInsteadOfAllocating) {
   const std::int64_t recycled =
       registry.counter("pipeline.edge.ss.s0_to_s1.slab_recycled").value();
   const std::size_t footprint =
-      executor.engine(0).plan_for(stages[0])->tiles.size() +
-      executor.engine(1).plan_for(stages[1])->tiles.size();
+      executor.engine().plan_for(stages[0])->tiles.size() +
+      executor.engine().plan_for(stages[1])->tiles.size();
   EXPECT_LE(allocated,
             static_cast<std::int64_t>(options.max_frames_in_flight *
                                       footprint))
@@ -405,7 +463,7 @@ TEST(PipelineExecutor, SteadyStateRecyclesSlabsInsteadOfAllocating) {
 TEST(PipelineExecutor, DesignPinsReleasedAtShutdown) {
   // The executor pins every tile design at construction (the re-arm fast
   // path); a cancelled mid-flight frame must not leak those pins past
-  // shutdown -- the caches must drop back to zero pinned entries.
+  // shutdown -- the cache must drop back to zero pinned entries.
   std::vector<stencil::StencilProgram> stages = {
       smoother("S0", 1, 30, 16), smoother("S1", 2, 30, 16)};
   std::atomic<int> fired{0};
@@ -419,8 +477,7 @@ TEST(PipelineExecutor, DesignPinsReleasedAtShutdown) {
   options.queue_capacity = 2;
   options.tile_shape = {2, 0};
   PipelineExecutor executor(StageGraph::chain(stages), options);
-  EXPECT_GT(executor.engine(0).cache().stats().pinned, 0u);
-  EXPECT_GT(executor.engine(1).cache().stats().pinned, 0u);
+  EXPECT_GT(executor.engine().cache().stats().pinned, 0u);
 
   PipelineHandle handle = executor.submit(8);
   while (fired.load(std::memory_order_relaxed) == 0) {
@@ -430,10 +487,8 @@ TEST(PipelineExecutor, DesignPinsReleasedAtShutdown) {
   EXPECT_FALSE(handle.wait().ok());
 
   executor.shutdown(PipelineExecutor::Drain::kCancelPending);
-  EXPECT_EQ(executor.engine(0).cache().stats().pinned, 0u)
-      << "stage 0 designs still pinned after shutdown";
-  EXPECT_EQ(executor.engine(1).cache().stats().pinned, 0u)
-      << "stage 1 designs still pinned after shutdown";
+  EXPECT_EQ(executor.engine().cache().stats().pinned, 0u)
+      << "stage designs still pinned after shutdown";
 }
 
 TEST(PipelineExecutor, DesignPinsReleasedAfterDrainAllShutdown) {
@@ -446,8 +501,7 @@ TEST(PipelineExecutor, DesignPinsReleasedAfterDrainAllShutdown) {
   PipelineHandle handle = executor.submit(2);
   executor.shutdown(PipelineExecutor::Drain::kDrainAll);
   EXPECT_TRUE(handle.wait().ok());
-  EXPECT_EQ(executor.engine(0).cache().stats().pinned, 0u);
-  EXPECT_EQ(executor.engine(1).cache().stats().pinned, 0u);
+  EXPECT_EQ(executor.engine().cache().stats().pinned, 0u);
 }
 
 TEST(PipelineExecutor, AbortedFrameDrainsEdgeSlabs) {
@@ -544,7 +598,7 @@ TEST(PipelineExecutor, ShutdownDrainAllFinishesInFlight) {
 
 // ---- observability -----------------------------------------------------
 
-TEST(PipelineExecutor, MetricsAreNamespacedPerStageEngine) {
+TEST(PipelineExecutor, MetricsAreNamespacedPerPipeline) {
   obs::Registry registry;
   std::vector<stencil::StencilProgram> stages = {
       smoother("S0", 1, 16, 12), smoother("S1", 2, 16, 12)};
@@ -556,11 +610,16 @@ TEST(PipelineExecutor, MetricsAreNamespacedPerStageEngine) {
   PipelineExecutor executor(StageGraph::chain(stages), options);
   ASSERT_TRUE(executor.submit(2).wait().ok());
 
-  // Each stage engine publishes its own series -- no aggregation into one
-  // flat engine.* namespace.
-  EXPECT_GT(registry.counter("engine.demo.s0.tiles_executed").value(), 0);
-  EXPECT_GT(registry.counter("engine.demo.s1.tiles_executed").value(), 0);
-  EXPECT_GT(registry.counter("cache.demo.s0.hits").value(), 0);
+  // The pipeline's one engine publishes under the pipeline's name -- no
+  // aggregation into the flat engine.* namespace -- and runs one deferred
+  // frame per stage.
+  const std::size_t tiles =
+      executor.engine().plan_for(stages[0])->tiles.size() +
+      executor.engine().plan_for(stages[1])->tiles.size();
+  EXPECT_EQ(registry.counter("engine.demo.tiles_executed").value(),
+            static_cast<std::int64_t>(tiles));
+  EXPECT_EQ(registry.counter("engine.demo.frames_completed").value(), 2);
+  EXPECT_GT(registry.counter("cache.demo.hits").value(), 0);
   EXPECT_EQ(registry.counter("pipeline.demo.frames_completed").value(), 1);
   EXPECT_GT(registry.counter("pipeline.demo.tiles_released").value(), 0);
   // Edge telemetry: readiness histogram and retirement counter.

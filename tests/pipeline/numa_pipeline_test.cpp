@@ -1,5 +1,5 @@
 // Locality-aware pipelined execution: with a faked multi-node topology the
-// per-stage engines place tiles on nodes, edge slab pools split into
+// pipeline's engine places tiles on nodes, edge slab pools split into
 // per-node arenas, and stage buffers route slabs through the producer
 // tile's arena -- none of which may change a single output bit. Fifty
 // random two-stage chains run under NUP_FAKE_TOPOLOGY=2 and =4 and must
@@ -86,7 +86,7 @@ TEST(PipelineNuma, InterleaveBitIdenticalToOff) {
   }
 }
 
-// Stage engines inherit the pipeline's numa mode and report their node
+// The pipeline's engine inherits its numa mode and reports the node
 // count; the per-edge pool publishes its resident bytes.
 TEST(PipelineNuma, EnginesSeeNodesAndEdgePoolsPublishResidency) {
   FakeTopo guard("2");
@@ -100,10 +100,8 @@ TEST(PipelineNuma, EnginesSeeNodesAndEdgePoolsPublishResidency) {
   PipelineExecutor executor(StageGraph::chain(stages), options);
   ASSERT_TRUE(executor.submit(7).wait().ok());
 
-  for (std::size_t s = 0; s < executor.graph().stage_count(); ++s) {
-    EXPECT_EQ(executor.engine(s).topology().node_count(), 2u);
-    EXPECT_EQ(executor.engine(s).stats().nodes, 2u);
-  }
+  EXPECT_EQ(executor.engine().topology().node_count(), 2u);
+  EXPECT_EQ(executor.engine().stats().nodes, 2u);
   ASSERT_EQ(executor.graph().edges().size(), 1u);
   const std::string gauge_name =
       "pool." + executor.graph().edges()[0].label + ".resident_bytes";
@@ -123,10 +121,8 @@ TEST(PipelineNuma, OffKeepsSingleArenaPoolsAndSingleNodeEngines) {
   options.metrics = &registry;
   PipelineExecutor executor(StageGraph::chain(stages), options);
   ASSERT_TRUE(executor.submit(9).wait().ok());
-  for (std::size_t s = 0; s < executor.graph().stage_count(); ++s) {
-    EXPECT_EQ(executor.engine(s).topology().node_count(), 1u);
-    EXPECT_EQ(executor.engine(s).stats().tiles_stolen, 0);
-  }
+  EXPECT_EQ(executor.engine().topology().node_count(), 1u);
+  EXPECT_EQ(executor.engine().stats().tiles_stolen, 0);
   executor.shutdown();
 }
 

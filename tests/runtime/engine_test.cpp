@@ -126,6 +126,32 @@ TEST(FrameEngine, SobelAndJacobi8ShareOnePlanAndKeepTheirKernels) {
   }
 }
 
+TEST(FrameEngine, SameNamedProgramsWithDifferentKernelsGetTheirOwnPlans) {
+  // Same name, same window, another kernel: a plan keyed on the name
+  // served the second program the first one's kernel. Each frame must
+  // equal its own golden at every width, whichever program came first.
+  const stencil::StencilProgram jacobi = stencil::jacobi_2d(64, 64);
+  stencil::StencilProgram copy_through = stencil::jacobi_2d(64, 64);
+  copy_through.set_weighted_sum({1, 0, 0, 0, 0});
+  ASSERT_EQ(jacobi.name(), copy_through.name());
+  for (const std::int64_t width : {1, 8}) {
+    for (const bool jacobi_first : {true, false}) {
+      EngineOptions options;
+      options.threads = 2;
+      options.build.datapath_width = width;
+      FrameEngine engine(options);
+      const stencil::StencilProgram& first =
+          jacobi_first ? jacobi : copy_through;
+      const stencil::StencilProgram& second =
+          jacobi_first ? copy_through : jacobi;
+      expect_frame_matches_golden(first, engine.submit(first, 5).wait());
+      expect_frame_matches_golden(second, engine.submit(second, 5).wait());
+      EXPECT_NE(engine.plan_for(first), engine.plan_for(second))
+          << "W=" << width;
+    }
+  }
+}
+
 TEST(FrameEngine, RowAndColumnTiledFramesBitIdenticalToGolden) {
   // Each tile's outputs leave the simulator in row blocks and scatter
   // through its rank table: full-width row bands keep every block

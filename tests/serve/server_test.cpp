@@ -282,6 +282,33 @@ TEST(StencilServer, CancelQueuedResolvesWithoutTouchingEngine) {
   EXPECT_EQ(server.engine().stats().frames_submitted, 1);
 }
 
+TEST(StencilServer, ReplacingAKernelUnderItsNameServesTheNewKernel) {
+  // add, replace, submit: the replacement has the old one's name and
+  // window but another kernel, and its frames must equal its own golden.
+  for (const std::int64_t width : {1, 8}) {
+    ServeOptions options;
+    options.engine.threads = 2;
+    options.engine.build.datapath_width = width;
+    StencilServer server(options);
+    const stencil::StencilProgram jacobi = stencil::jacobi_2d(64, 64);
+    stencil::StencilProgram replacement = stencil::jacobi_2d(64, 64);
+    replacement.set_weighted_sum({1, 0, 0, 0, 0});
+
+    server.add_kernel(jacobi);
+    SubmitResult before = server.submit("a", jacobi.name(), 4);
+    ASSERT_TRUE(before.admitted());
+    EXPECT_EQ(before.handle.wait().outputs,
+              stencil::run_golden(jacobi, 4).outputs);
+
+    server.add_kernel(replacement);
+    SubmitResult after = server.submit("a", jacobi.name(), 4);
+    ASSERT_TRUE(after.admitted());
+    EXPECT_EQ(after.handle.wait().outputs,
+              stencil::run_golden(replacement, 4).outputs)
+        << "W=" << width << ": the replaced kernel is still served";
+  }
+}
+
 TEST(StencilServer, ServedFrameStateIsFreedAfterWaitAndHandleRelease) {
   // Every served frame used to stay reachable through a cycle: engine
   // frame -> on_frame hook -> serve request -> frame handle. The tile plan

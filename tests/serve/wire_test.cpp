@@ -8,19 +8,23 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 
 #include <chrono>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 #include "stencil/gallery.hpp"
 #include "stencil/golden.hpp"
@@ -291,6 +295,98 @@ TEST(ServeEndpoint, OverlongLineClosesOnlyThatConnection) {
   EXPECT_EQ(done[4],
             std::to_string(output_checksum(stencil::run_golden(p, 5).outputs)));
   EXPECT_EQ(bystander.command("QUIT"), "OK bye");
+}
+
+TEST(ServeEndpoint, HelloRejectsTenantNamesOutsideTheGrammar) {
+  obs::Registry registry;
+  ServeOptions options;
+  options.engine.threads = 1;
+  options.metrics = &registry;
+  StencilServer server(options);
+  server.add_kernel(stencil::jacobi_2d(16, 20));
+  ServeEndpoint endpoint(server);
+  ASSERT_TRUE(endpoint.ok()) << endpoint.error();
+
+  WireClient client(endpoint.port());
+  ASSERT_TRUE(client.connected());
+  // Quotes and braces would break an OpenMetrics label; an empty or
+  // 65-character name is outside [A-Za-z0-9_-]{1,64}.
+  for (const std::string& bad :
+       {std::string("\"quoted\""), std::string("{brace}"),
+        std::string("a.b"), std::string(65, 'n')}) {
+    EXPECT_EQ(client.command("HELLO " + bad), "ERR bad tenant name") << bad;
+  }
+  EXPECT_EQ(client.command("HELLO"), "ERR usage: HELLO <tenant>");
+  EXPECT_EQ(client.command("SUBMIT JACOBI_2D 1"), "ERR HELLO first");
+  for (const obs::MetricSample& sample : registry.snapshot().samples) {
+    EXPECT_EQ(sample.name.find("serve.tenant."), std::string::npos)
+        << sample.name;
+  }
+
+  // The longest valid name and the names clients use stay accepted.
+  const std::string longest(64, 'n');
+  EXPECT_EQ(client.command("HELLO " + longest), "OK " + longest);
+  for (const std::string good : {"t0", "t1", "remote", "Tenant_A-9"}) {
+    EXPECT_EQ(client.command("HELLO " + good), "OK " + good);
+  }
+  EXPECT_EQ(client.command("QUIT"), "OK bye");
+}
+
+TEST(ServeEndpoint, StopLeavesAReusedFdNumberAlone) {
+  ServeOptions options;
+  options.engine.threads = 1;
+  StencilServer server(options);
+  ServeEndpoint endpoint(server);
+  ASSERT_TRUE(endpoint.ok()) << endpoint.error();
+
+  // The server's end of a connection is one more fd in this process: find
+  // its number by listing the fds before and after the session opens.
+  const auto open_fds = [] {
+    std::set<int> fds;
+    for (int fd = 0; fd < 1024; ++fd) {
+      if (::fcntl(fd, F_GETFD) != -1) fds.insert(fd);
+    }
+    return fds;
+  };
+  const std::set<int> before = open_fds();
+  WireClient client(endpoint.port());
+  ASSERT_TRUE(client.connected());
+  EXPECT_EQ(client.command("HELLO gone"), "OK gone");
+  std::set<int> added = open_fds();
+  for (const int fd : before) added.erase(fd);
+  ASSERT_EQ(added.size(), 2u);  // the client's socket and the server's
+  client.close();
+  // The connection thread sees EOF and closes its end: wait until both
+  // numbers are free, then let a socketpair take one of them.
+  for (int i = 0; i < 5000; ++i) {
+    bool all_closed = true;
+    for (const int fd : added) all_closed &= ::fcntl(fd, F_GETFD) == -1;
+    if (all_closed) break;
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  std::vector<std::array<int, 2>> pairs;
+  std::array<int, 2> reused{-1, -1};
+  for (int i = 0; i < 8 && reused[0] < 0; ++i) {
+    std::array<int, 2> pair{};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair.data()), 0);
+    pairs.push_back(pair);
+    if (added.count(pair[0]) != 0 || added.count(pair[1]) != 0) {
+      reused = pair;
+    }
+  }
+  ASSERT_GE(reused[0], 0) << "no socketpair took a freed fd number";
+
+  endpoint.stop();
+  // stop() must not have shut down the pair that now owns the number.
+  EXPECT_TRUE(util::write_all(reused[0], "ping\n"));
+  util::LineReader reader(reused[1]);
+  std::string line;
+  EXPECT_TRUE(reader.next_line(&line));
+  EXPECT_EQ(line, "ping");
+  for (const std::array<int, 2>& pair : pairs) {
+    ::close(pair[0]);
+    ::close(pair[1]);
+  }
 }
 
 TEST(ServeEndpoint, QuitLeavesOutstandingWorkRunning) {

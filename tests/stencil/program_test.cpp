@@ -272,5 +272,42 @@ TEST(BlockKernel, CopyKernelFromCarriesEveryForm) {
   EXPECT_THROW(make_small().copy_kernel_from(block_src), Error);
 }
 
+TEST(KernelIdentity, FollowsTheKernelNotTheName) {
+  // Weighted sums are identified by their weight bits, the lazy default
+  // included; another weight, even -0.0 for 0.0, is another identity.
+  StencilProgram weighted = two_ref_program();
+  weighted.set_weighted_sum({0.5, 0.5});
+  EXPECT_EQ(weighted.kernel_identity(), two_ref_program().kernel_identity());
+  StencilProgram other = two_ref_program();
+  other.set_weighted_sum({0.5, -0.0});
+  StencilProgram zero = two_ref_program();
+  zero.set_weighted_sum({0.5, 0.0});
+  EXPECT_NE(other.kernel_identity(), zero.kernel_identity());
+
+  // Each opaque or block install is a new kernel; a copy of the program,
+  // or of its kernel, is the same one.
+  StencilProgram point = two_ref_program();
+  point.set_kernel([](const std::vector<double>& v) { return v[0]; });
+  StencilProgram same_code = two_ref_program();
+  same_code.set_kernel([](const std::vector<double>& v) { return v[0]; });
+  EXPECT_NE(point.kernel_identity(), same_code.kernel_identity());
+  EXPECT_NE(point.kernel_identity(), weighted.kernel_identity());
+  EXPECT_EQ(StencilProgram(point).kernel_identity(), point.kernel_identity());
+  StencilProgram point_copy = two_ref_program();
+  point_copy.copy_kernel_from(point);
+  EXPECT_EQ(point_copy.kernel_identity(), point.kernel_identity());
+
+  StencilProgram block = two_ref_program();
+  block.set_block_kernel(difference_kernel(std::make_shared<int>(0)));
+  StencilProgram block_copy = two_ref_program();
+  block_copy.copy_kernel_from(block);
+  EXPECT_EQ(block_copy.kernel_identity(), block.kernel_identity());
+  EXPECT_NE(block.kernel_identity(), point.kernel_identity());
+
+  // Reinstalling weights drops the opaque identity again.
+  point.set_weighted_sum({0.5, 0.5});
+  EXPECT_EQ(point.kernel_identity(), weighted.kernel_identity());
+}
+
 }  // namespace
 }  // namespace nup::stencil

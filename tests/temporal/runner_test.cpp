@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -235,6 +238,44 @@ TEST(TemporalRunner, ZeroToleranceDisablesTheMonitor) {
   EXPECT_EQ(outcome.passes_completed, 3);
   EXPECT_EQ(outcome.generations_completed, 6);
   EXPECT_EQ(outcome.last_residual, -1.0);  // never measured
+}
+
+// ---- one worker pool ---------------------------------------------------
+
+// Live threads of this process whose kernel name marks an engine worker
+// ("nup-w<node>.<i>").
+std::size_t engine_worker_threads() {
+  std::size_t n = 0;
+  DIR* d = ::opendir("/proc/self/task");
+  if (d == nullptr) return 0;
+  while (dirent* e = ::readdir(d)) {
+    if (e->d_name[0] == '.') continue;
+    std::ifstream comm(std::string("/proc/self/task/") + e->d_name + "/comm");
+    std::string name;
+    if (std::getline(comm, name) && name.rfind("nup-w", 0) == 0) ++n;
+  }
+  ::closedir(d);
+  return n;
+}
+
+TEST(TemporalRunner, EveryPassShapeSharesOneWorkerPool) {
+  // T = 6, B = 4: a 4-replica shape and a 2-replica remainder. One
+  // engine with a worker per stage of the larger shape serves both, so
+  // the process runs 4 workers, not 4 + 2.
+  const stencil::StencilProgram p = stencil::jacobi4_2d(16, 20);
+  const TemporalConfig config{.timesteps = 6, .block = 4,
+                              .boundary = BoundaryPolicy::kClamp};
+  ASSERT_EQ(engine_worker_threads(), 0u);
+  RunnerOptions options;
+  options.pipeline.threads_per_stage = 1;
+  TemporalRunner runner(p, config, options);
+  ASSERT_EQ(runner.executor_count(), 2u);
+  EXPECT_EQ(engine_worker_threads(), 4u);
+  const FrameOutcome outcome = runner.run(3);
+  ASSERT_TRUE(outcome.ok()) << outcome.error;
+  EXPECT_EQ(outcome.outputs, run_golden_sweeps(p, config, 3));
+  runner.shutdown();
+  EXPECT_EQ(engine_worker_threads(), 0u);
 }
 
 // ---- random-triple sweep -----------------------------------------------

@@ -57,7 +57,7 @@
 //   --inflight <K> with --pipeline: cross-frame admission window --
 //                  at most K frames in flight at once (1 = frame-serial,
 //                  0 = unbounded; default 4). Successive frames interleave
-//                  tiles on the same stage engines, recycling buffer
+//                  tiles on the pipeline's one engine, recycling buffer
 //                  slabs, so steady state allocates nothing per tile
 //   --timesteps <T>
 //                  temporal mode: treat the kernel as one step of an
@@ -529,7 +529,7 @@ int run_pipeline(const std::string& spec_path, const std::string& name,
                 frames, seconds, frames / seconds);
     for (std::size_t s = 0; s < last.stages.size(); ++s) {
       const auto plan =
-          executor.engine(s).plan_for(executor.graph().stages()[s].program);
+          executor.engine().plan_for(executor.graph().stages()[s].program);
       std::printf("  stage %s: %zu tiles, first/last tile %+lld/%+lld us%s\n",
                   executor.graph().stages()[s].program.name().c_str(),
                   plan->tiles.size(),
