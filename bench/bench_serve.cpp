@@ -25,10 +25,17 @@
 // not core count): affinity's cache hit rate exceeds round-robin's, its
 // p99 frame latency is lower, it performs no extra design switches, and
 // zero output divergence under either policy.
+//
+// BM_OutputChecksum/{serial,dispatched} times the wire checksum of one
+// 768x1024 frame: the byte-serial definition against serve::output_checksum
+// (the AVX-512 path where the CPU has it). Run it alone with
+// --benchmark_filter=OutputChecksum.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,6 +45,7 @@
 #include "runtime/engine.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "serve/wire.hpp"
 #include "stencil/gallery.hpp"
 #include "stencil/golden.hpp"
 
@@ -286,6 +294,30 @@ BENCHMARK(BM_ServeMixedBurst)
     ->Arg(1)
     ->Arg(0)
     ->ArgName("affinity")
+    ->Unit(benchmark::kMillisecond);
+
+// ---- timed benchmark: the wire checksum of one paper-sized frame -------
+
+void BM_OutputChecksum(benchmark::State& state, bool dispatched) {
+  std::vector<double> frame(768 * 1024);
+  std::mt19937_64 rng(1);
+  for (double& v : frame) {
+    const std::uint64_t bits = rng();
+    std::memcpy(&v, &bits, sizeof(v));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        dispatched ? serve::output_checksum(frame)
+                   : serve::detail::output_checksum_serial(frame.data(),
+                                                           frame.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size() *
+                                                    sizeof(double)));
+}
+BENCHMARK_CAPTURE(BM_OutputChecksum, serial, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OutputChecksum, dispatched, true)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

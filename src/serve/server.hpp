@@ -156,6 +156,11 @@ class StencilServer {
   /// auto-registered with the default quota on first submit.
   void register_tenant(const std::string& tenant, TenantQuota quota);
 
+  /// Registers the tenant with ServeOptions::default_quota unless it is
+  /// registered already; a registered tenant keeps its quota (a remote
+  /// HELLO must not re-quota what the operator configured).
+  void join_tenant(const std::string& tenant);
+
   /// Admission decision + future for one frame request. Never blocks on
   /// the engine: over-quota submits shed immediately. Throws Error for an
   /// unknown kernel.

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstring>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -14,19 +13,6 @@
 #include "util/socket.hpp"
 
 namespace nup::serve {
-
-std::uint64_t output_checksum(const std::vector<double>& outputs) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const double v : outputs) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (bits >> (byte * 8)) & 0xffu;
-      h *= 1099511628211ull;  // FNV prime
-    }
-  }
-  return h;
-}
 
 namespace {
 
@@ -50,12 +36,15 @@ bool valid_tenant_name(const std::string& name) {
   return true;
 }
 
+/// Decimal digits only, and false past 2^64 - 1 (no silent wrap).
 bool parse_u64(const std::string& word, std::uint64_t* value) {
   if (word.empty()) return false;
   std::uint64_t v = 0;
   for (const char c : word) {
     if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (UINT64_MAX - digit) / 10) return false;
+    v = v * 10 + digit;
   }
   *value = v;
   return true;
@@ -100,7 +89,7 @@ struct ServeEndpoint::Impl {
           reply = "ERR bad tenant name";
         } else {
           tenant = words[1];
-          server->register_tenant(tenant, TenantQuota{});
+          server->join_tenant(tenant);
           reply = "OK " + tenant;
         }
       } else if (words[0] == "SUBMIT") {

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "serve/server.hpp"
 
@@ -31,8 +34,10 @@ struct ServeEndpointOptions {
 ///
 /// A tenant name is [A-Za-z0-9_-]{1,64} (it becomes the serve.tenant.*
 /// metric namespace); any other answers `ERR bad tenant name` and
-/// registers nothing. Anything malformed answers `ERR <reason>` and keeps
-/// the connection.
+/// registers nothing. HELLO gives a new tenant ServeOptions::default_quota
+/// and leaves a registered tenant's quota alone. A seed or id is a decimal
+/// below 2^64; a larger one answers `ERR usage: ...`. Anything malformed
+/// answers `ERR <reason>` and keeps the connection.
 /// `checksum` is the FNV-1a hash of the frame's output bit patterns
 /// (serve::output_checksum), so a remote client can verify bit-identity
 /// against a local golden run without shipping the frame.
@@ -69,7 +74,25 @@ class ServeEndpoint {
 };
 
 /// FNV-1a 64-bit hash over the output doubles' bit patterns: the frame
-/// identity the wire protocol ships instead of the frame.
+/// identity the wire protocol ships instead of the frame. Runs the exact
+/// AVX-512 path where the CPU has it (see checksum.cpp), else the
+/// byte-serial definition; both give the same bits.
 std::uint64_t output_checksum(const std::vector<double>& outputs);
+
+namespace detail {
+
+/// The byte-serial definition of output_checksum: fallback and oracle.
+std::uint64_t output_checksum_serial(const double* values, std::size_t count);
+
+/// True when this build and CPU run output_checksum_vector's AVX-512 path
+/// (AVX-512F/BW/DQ/VBMI/VNNI, GFNI and VPCLMULQDQ; never under
+/// NUP_DISABLE_AVX2).
+bool output_checksum_vector_supported();
+
+/// The AVX-512 path (the byte-serial loop when it is compiled out). Call it
+/// only where output_checksum_vector_supported() holds.
+std::uint64_t output_checksum_vector(const double* values, std::size_t count);
+
+}  // namespace detail
 
 }  // namespace nup::serve

@@ -15,9 +15,13 @@
 
 #include <array>
 #include <cerrno>
-
 #include <chrono>
+#include <cstdint>
+#include <cstring>
+#include <iostream>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -89,6 +93,100 @@ TEST(OutputChecksum, ExactValuesArePinned) {
   EXPECT_EQ(output_checksum({0.0, 1.0, -2.5, 0.125, 3.141592653589793, -0.0,
                              1e-300}),
             16313862803349971016ull);
+}
+
+double from_bits(std::uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+/// `count` doubles of one bit pattern the checksum must not care about.
+std::vector<double> checksum_pattern(int pattern, std::size_t count,
+                                     std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const double specials[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      from_bits(0x7ff0000000000001ull),  // signalling NaN payload
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  const double constant = from_bits(rng());
+  std::vector<double> values(count);
+  for (double& v : values) {
+    const std::uint64_t r = rng();
+    switch (pattern) {
+      case 0:  // random bits
+        v = from_bits(r);
+        break;
+      case 1:  // +0 and -0
+        v = (r & 1u) != 0 ? -0.0 : 0.0;
+        break;
+      case 2:  // NaN and Inf
+        v = specials[r % 5];
+        break;
+      case 3:  // subnormals of either sign
+        v = from_bits(r & 0x800fffffffffffffull);
+        break;
+      default:
+        v = constant;
+        break;
+    }
+  }
+  return values;
+}
+
+constexpr int kChecksumPatterns = 5;
+
+/// The dispatched checksum and, where the CPU has it, the AVX-512 path
+/// directly must both give the byte-serial oracle's bits.
+void expect_oracle_bits(const double* values, std::size_t count,
+                        const std::string& label) {
+  const std::uint64_t oracle = detail::output_checksum_serial(values, count);
+  if (detail::output_checksum_vector_supported()) {
+    ASSERT_EQ(detail::output_checksum_vector(values, count), oracle) << label;
+  }
+  const std::vector<double> copy(values, values + count);
+  ASSERT_EQ(output_checksum(copy), oracle) << label;
+}
+
+// Every size from 0 to 300 doubles walks the vector path's chunk tail
+// through every length; the frame-sized cases run many whole chunks. Each
+// vector is allocated at its exact size, so a sanitizer build catches any
+// read past the end.
+TEST(OutputChecksum, DispatchedEqualsByteSerial) {
+  if (!detail::output_checksum_vector_supported()) {
+    std::cout << "[          ] AVX-512 checksum path not available here; "
+                 "checking the dispatch only\n";
+  }
+  for (int pattern = 0; pattern < kChecksumPatterns; ++pattern) {
+    for (std::size_t count = 0; count <= 300; ++count) {
+      const std::vector<double> v = checksum_pattern(pattern, count, count);
+      ASSERT_NO_FATAL_FAILURE(expect_oracle_bits(
+          v.data(), v.size(),
+          "pattern " + std::to_string(pattern) + " size " +
+              std::to_string(count)));
+    }
+    const std::vector<double> frame =
+        checksum_pattern(pattern, 768 * 1024, 7 + pattern);
+    ASSERT_NO_FATAL_FAILURE(expect_oracle_bits(
+        frame.data(), frame.size(),
+        "pattern " + std::to_string(pattern) + " 768x1024"));
+    ASSERT_NO_FATAL_FAILURE(expect_oracle_bits(
+        frame.data(), frame.size() - 3,
+        "pattern " + std::to_string(pattern) + " 768x1024-3"));
+  }
+  // Start 1..7 doubles into a buffer: unaligned loads, each range still
+  // ending at the allocation's end.
+  const std::vector<double> buffer = checksum_pattern(0, 768 * 1024 + 7, 99);
+  bool misaligned = false;
+  for (std::size_t offset = 1; offset < 8; ++offset) {
+    const double* start = buffer.data() + offset;
+    misaligned |= reinterpret_cast<std::uintptr_t>(start) % 64 != 0;
+    ASSERT_NO_FATAL_FAILURE(expect_oracle_bits(
+        start, buffer.size() - offset, "offset " + std::to_string(offset)));
+  }
+  EXPECT_TRUE(misaligned);
 }
 
 TEST(ServeEndpoint, HelloSubmitWaitShipsGoldenChecksum) {
@@ -198,6 +296,97 @@ TEST(ServeEndpoint, ShedVerdictCrossesTheWire) {
   client.command("WAIT " + words_of(second)[1]);
   EXPECT_EQ(client.command("QUIT"), "OK bye");
   EXPECT_EQ(server.stats().shed, 1);
+}
+
+/// With a 1-frame window busy on the tenant's first request, its second
+/// submit queues and its third meets the tenant's queue cap.
+void expect_second_queued_submit_sheds(StencilServer& server,
+                                       const std::string& tenant) {
+  ServeEndpoint endpoint(server);
+  ASSERT_TRUE(endpoint.ok()) << endpoint.error();
+  WireClient client(endpoint.port());
+  ASSERT_TRUE(client.connected());
+  EXPECT_EQ(client.command("HELLO " + tenant), "OK " + tenant);
+
+  const std::string first = client.command("SUBMIT SLOW 1");
+  ASSERT_EQ(words_of(first)[0], "OK") << first;
+  for (int i = 0; i < 2000; ++i) {
+    const ServeStats s = server.stats();
+    if (s.in_flight == 1 && s.queued == 0) break;
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  const std::string second = client.command("SUBMIT SLOW 2");
+  ASSERT_EQ(words_of(second)[0], "OK") << second;
+  EXPECT_EQ(client.command("SUBMIT SLOW 3"), "SHED tenant_queue_full");
+
+  client.command("WAIT " + words_of(first)[1]);
+  client.command("WAIT " + words_of(second)[1]);
+  EXPECT_EQ(client.command("QUIT"), "OK bye");
+}
+
+ServeOptions one_frame_window() {
+  ServeOptions options;
+  options.engine.threads = 1;
+  options.engine.tile_shape = {0, 0};
+  options.max_frames_in_flight = 1;
+  return options;
+}
+
+TEST(ServeEndpoint, HelloKeepsARegisteredTenantsQuota) {
+  // The operator's quota (one queued request) must survive the tenant's
+  // own HELLO; re-registering it at a default quota would admit the third
+  // submit.
+  StencilServer server(one_frame_window());
+  server.add_kernel(slow_program(10, 12, milliseconds(1)));
+  TenantQuota quota;
+  quota.max_queued = 1;
+  server.register_tenant("t", quota);
+  expect_second_queued_submit_sheds(server, "t");
+}
+
+TEST(ServeEndpoint, HelloGivesANewTenantTheDefaultQuota) {
+  ServeOptions options = one_frame_window();
+  options.default_quota.max_queued = 1;
+  StencilServer server(options);
+  server.add_kernel(slow_program(10, 12, milliseconds(1)));
+  expect_second_queued_submit_sheds(server, "newcomer");
+}
+
+TEST(ServeEndpoint, NumbersPast64BitsAreUsageErrors) {
+  const stencil::StencilProgram p = stencil::jacobi_2d(16, 20);
+  ServeOptions options;
+  options.engine.threads = 1;
+  StencilServer server(options);
+  server.add_kernel(p);
+  ServeEndpoint endpoint(server);
+  ASSERT_TRUE(endpoint.ok()) << endpoint.error();
+  WireClient client(endpoint.port());
+  ASSERT_TRUE(client.connected());
+  EXPECT_EQ(client.command("HELLO t"), "OK t");
+
+  // 2^64 and a 30-digit number used to wrap silently (2^64 ran seed 0).
+  for (const std::string big :
+       {"18446744073709551616", "123456789012345678901234567890"}) {
+    EXPECT_EQ(client.command("SUBMIT JACOBI_2D " + big),
+              "ERR usage: SUBMIT <kernel> <seed>");
+    EXPECT_EQ(client.command("WAIT " + big), "ERR usage: WAIT <id>");
+  }
+  EXPECT_EQ(client.command("WAIT 18446744073709551615"),
+            "ERR unknown request 18446744073709551615");
+
+  // 2^64 - 1 is still a seed, and the frame is the golden one for it.
+  const std::string submitted =
+      client.command("SUBMIT JACOBI_2D 18446744073709551615");
+  ASSERT_EQ(words_of(submitted)[0], "OK") << submitted;
+  const std::vector<std::string> done =
+      words_of(client.command("WAIT " + words_of(submitted)[1]));
+  ASSERT_EQ(done.size(), 5u);
+  EXPECT_EQ(done[2], "ok");
+  const stencil::GoldenRun golden =
+      stencil::run_golden(p, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(done[4], std::to_string(output_checksum(golden.outputs)));
+  EXPECT_EQ(server.stats().submitted, 1);
+  EXPECT_EQ(client.command("QUIT"), "OK bye");
 }
 
 TEST(ServeEndpoint, DroppedConnectionCancelsTheTenant) {

@@ -15,6 +15,9 @@
 //      step() calls (one machine cycle each, datapath_cycles included) and
 //      against AcceleratorSim::run().
 //
+// A sixth of the seeds also submit a same-named pair -- one window, two
+// kernels -- through one FrameEngine; each frame must equal its own golden.
+//
 // The same binary passes with AVX2 (-march=native) and with the scalar
 // fallback (-DNUP_DISABLE_AVX2); CI runs both, plus ASan/UBSan.
 
@@ -29,6 +32,7 @@
 
 #include "arch/builder.hpp"
 #include "poly/transform.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/tiler.hpp"
 #include "sim/prefetch.hpp"
 #include "sim/simulator.hpp"
@@ -195,6 +199,28 @@ bool check_program_at_width(const stencil::StencilProgram& p,
   return true;
 }
 
+/// Submits `first` and `second` -- same name and window, different
+/// kernels -- together through one engine: each frame must equal its own
+/// golden run, whichever kernel the shared tile designs were compiled for.
+void check_same_named_pair(const stencil::StencilProgram& first,
+                           const stencil::StencilProgram& second,
+                           std::int64_t width, std::uint64_t seed) {
+  ASSERT_EQ(first.name(), second.name());
+  ASSERT_NE(first.kernel_identity(), second.kernel_identity());
+  const std::string label = first.name() + " pair W=" + std::to_string(width);
+  runtime::EngineOptions options;
+  options.threads = 2;
+  options.build.datapath_width = width;
+  runtime::FrameEngine engine(options);
+  runtime::FrameHandle a = engine.submit(first, seed);
+  runtime::FrameHandle b = engine.submit(second, seed);
+  for (auto [p, handle] : {std::pair{&first, &a}, std::pair{&second, &b}}) {
+    const runtime::FrameResult& r = handle->wait();
+    ASSERT_TRUE(r.ok()) << label << ": " << r.error;
+    EXPECT_EQ(r.outputs, stencil::run_golden(*p, seed).outputs) << label;
+  }
+}
+
 class VectorFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 // 144 parameter points x 3 shape families = 432 random stencils, each at
@@ -239,6 +265,26 @@ TEST_P(VectorFuzz, WideBackendMatchesScalarAndReference) {
   narrow.nonlinear_block = (seed % 4) == 3;
   for (std::int64_t w : kWidths) {
     check_program_at_width(::nup::testing::random_program(seed, narrow), w);
+  }
+
+  // Same-named pairs: the generator draws the kernel last, so two kernel
+  // recipes give one name and one window. Pair kind, submit order and W
+  // cycle with the seed.
+  if (seed % 6 == 0) {
+    const std::uint64_t k = seed / 6;
+    ::nup::testing::StencilGenOptions kinds[3];
+    kinds[1].random_weights = true;
+    kinds[2].nonlinear_block = true;
+    const stencil::StencilProgram a =
+        ::nup::testing::random_program(seed, kinds[k % 3]);
+    const stencil::StencilProgram b =
+        ::nup::testing::random_program(seed, kinds[(k + 1) % 3]);
+    const std::int64_t width = (k % 2 == 1 && longest_row(a) >= 4) ? 4 : 1;
+    if ((k / 3) % 2 == 0) {
+      check_same_named_pair(a, b, width, seed);
+    } else {
+      check_same_named_pair(b, a, width, seed);
+    }
   }
 }
 
