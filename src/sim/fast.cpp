@@ -75,10 +75,10 @@ struct FastFifo {
     count -= n;
   }
 
-  /// Pushes `n` values from src. Requires count + n <= capacity. The block
-  /// path pops before pushing (like the scalar firing cycle), so occupancy
-  /// never exceeds the value it had entering the run and max_fill is
-  /// untouched -- a run is only entered at steady occupancy.
+  /// Pushes `n` values from src. Requires count + n <= capacity. max_fill
+  /// takes the occupancy after the block, the largest of the n scalar
+  /// pushes it stands for: a stall run whose consumer holds fills the FIFO
+  /// this way, one value per cycle.
   void push_block(const double* src, std::int64_t n) {
     const std::size_t cap = values.size();
     std::size_t tail = head + static_cast<std::size_t>(count);
@@ -90,6 +90,21 @@ struct FastFifo {
                 (static_cast<std::size_t>(n) - first) * sizeof(double));
     count += n;
     if (count > max_fill) max_fill = count;
+  }
+
+  /// `n` cycles in which the consumer pops one value and then the producer
+  /// pushes upstream[j] (cycle j), as one block: dst receives the
+  /// min(count, n) oldest values followed by the first n - take upstream
+  /// values (pushed at cycle j, popped at cycle j + count), and the FIFO
+  /// keeps the last `take` upstream values. Occupancy never exceeds its
+  /// value entering the block, so max_fill is untouched. Requires
+  /// count >= 1.
+  void relay(const double* upstream, std::int64_t n, double* dst) {
+    const std::int64_t take = std::min(count, n);
+    pop_block(take, dst);
+    std::memcpy(dst + take, upstream,
+                static_cast<std::size_t>(n - take) * sizeof(double));
+    push_block(upstream + (n - take), take);
   }
 };
 
@@ -355,12 +370,14 @@ struct FastSim::Impl {
   bool hypothesize(const FastSystem& sys) const;
   void fill_scratch(FastSystem& sys);
   void commit_fire(FastSystem& sys);
+  void plan_stalled(FastSystem& sys) const;
   void commit_stalled(FastSystem& sys);
   void validate_ports() const;
   void commit_kernel();
   void record_trace(bool fire);
   std::string describe_stall() const;
   bool fire_run(std::int64_t limit);
+  bool stall_run(std::int64_t limit);
   bool scalar_cycle();
   bool step();
 };
@@ -631,10 +648,10 @@ void FastSim::Impl::commit_fire(FastSystem& sys) {
   }
 }
 
-/// On a non-firing cycle matching filters hold their token; the rest
-/// discard and forward as space permits (reference commit_advances with
-/// fire = false).
-void FastSim::Impl::commit_stalled(FastSystem& sys) {
+/// The advance pattern of a non-firing cycle, from fill_scratch's flags:
+/// matching filters hold their token; the rest discard and forward as
+/// space permits (reference commit_advances with fire = false).
+void FastSim::Impl::plan_stalled(FastSystem& sys) const {
   const std::size_t n = sys.filters.size();
   bool downstream_advances = true;
   for (std::size_t k = n; k-- > 0;) {
@@ -647,6 +664,13 @@ void FastSim::Impl::commit_stalled(FastSystem& sys) {
         (sys.avail[k] != 0 && space && sys.match[k] == 0) ? 1 : 0;
     downstream_advances = sys.advance[k] != 0;
   }
+}
+
+/// Commits one non-firing cycle: the plan_stalled pattern, one value per
+/// advancing filter.
+void FastSim::Impl::commit_stalled(FastSystem& sys) {
+  const std::size_t n = sys.filters.size();
+  plan_stalled(sys);
   for (std::size_t k = 0; k < n; ++k) {
     if (!sys.advance[k]) continue;
     FastFilter& filter = sys.filters[k];
@@ -772,8 +796,7 @@ std::string FastSim::Impl::describe_stall() const {
 /// filters sees one pop + one push per cycle, and the values a filter
 /// consumes are the FIFO's take = min(count, R) oldest elements followed by
 /// the first R - take values its upstream neighbour consumed this same run
-/// (pushed at cycle j, popped at cycle j + count). The FIFO afterwards
-/// holds the last `take` upstream values.
+/// (FastFifo::relay).
 bool FastSim::Impl::fire_run(std::int64_t limit) {
   if (options.trace_cycles > 0 && cycle < options.trace_cycles) return false;
   if (options.validate && !ports_structurally_valid) return false;
@@ -819,13 +842,8 @@ bool FastSim::Impl::fire_run(std::int64_t limit) {
         sys.feeds[filter.segment]->read_row(filter.in.point(), n, block);
         filter.in.advance_by(n);
       } else {
-        FastFifo& fifo = sys.fifos[k - 1];
-        const double* upstream = lane_vals.data() + sys.lane_slot[k - 1] * len;
-        const std::int64_t take = std::min(fifo.count, n);
-        fifo.pop_block(take, block);
-        std::memcpy(block + take, upstream,
-                    static_cast<std::size_t>(n - take) * sizeof(double));
-        fifo.push_block(upstream + (n - take), take);
+        sys.fifos[k - 1].relay(lane_vals.data() + sys.lane_slot[k - 1] * len,
+                               n, block);
       }
       filter.in_pos += n;
       filter.out.advance_by(n);
@@ -857,8 +875,112 @@ bool FastSim::Impl::fire_run(std::int64_t limit) {
   return true;
 }
 
-/// One scalar micro-cycle: the fallback for every cycle fire_run declines
-/// (fill, stalls, row boundaries, traced cycles, timed feeds).
+/// Retires the longest run of non-firing cycles -- at most `limit` -- that
+/// share the advance pattern plan_stalled gives the next cycle, or changes
+/// nothing and returns false when no filter advances on it (a firing or a
+/// no-progress cycle). This is the fill before the first fire and the
+/// halo discards at every row end. The pattern holds for R cycles when
+/// every advancing filter stays unmatched (R <= next_match - in_pos) and
+/// keeps its input -- a head has R points left in its input interval that
+/// its feed serves now, a non-head whose upstream holds has R values in
+/// its FIFO -- and its space: an uncut FIFO whose consumer holds has room
+/// for R more values. A holding filter keeps holding, except one with a
+/// live output that may gain input next cycle (a head without data, an
+/// empty FIFO its upstream fills); then R = 1. Any advancing filter stays
+/// unmatched, so none of the R cycles fires.
+///
+/// The R cycles then move as blocks: a head reads a row, a filter fed by
+/// an advancing upstream relays through their FIFO like fire_run, one fed
+/// by a holding upstream pops R values, and an advancing filter whose
+/// consumer holds pushes its R values. Feeds must be time-invariant: their
+/// tick() is skipped.
+bool FastSim::Impl::stall_run(std::int64_t limit) {
+  if (options.trace_cycles > 0 && cycle < options.trace_cycles) return false;
+  bool advances = false;
+  for (FastSystem& sys : systems) {
+    for (const std::shared_ptr<ExternalFeed>& feed : sys.feeds) {
+      if (!feed->time_invariant()) return false;
+    }
+    fill_scratch(sys);
+    plan_stalled(sys);
+    for (const unsigned char a : sys.advance) advances = advances || a != 0;
+  }
+  if (!advances) return false;
+
+  std::int64_t n = std::min(limit, options.max_cycles - cycle);
+  for (const FastSystem& sys : systems) {
+    const std::size_t count = sys.filters.size();
+    for (std::size_t k = 0; k < count; ++k) {
+      const FastFilter& filter = sys.filters[k];
+      const bool head = filter.segment >= 0;
+      if (!sys.advance[k]) {
+        if (filter.out.is_valid &&
+            (head ? sys.avail[k] == 0
+                  : sys.fifos[k - 1].count == 0 && sys.advance[k - 1])) {
+          n = 1;
+        }
+        continue;
+      }
+      n = std::min(n, filter.next_match - filter.in_pos);
+      if (head) {
+        n = std::min(n, filter.in.remaining_in_interval());
+      } else if (!sys.advance[k - 1]) {
+        n = std::min(n, sys.fifos[k - 1].count);
+      }
+      if (k + 1 < count && !sys.fifos[k].cut && !sys.advance[k + 1]) {
+        n = std::min(n, sys.fifos[k].capacity - sys.fifos[k].count);
+      }
+    }
+  }
+  // Every bound is >= 1 for an advancing filter, and an advancing head's
+  // first point is available, so n >= 1 throughout.
+  for (FastSystem& sys : systems) {
+    for (std::size_t k = 0; k < sys.filters.size(); ++k) {
+      const FastFilter& filter = sys.filters[k];
+      if (!sys.advance[k] || filter.segment < 0) continue;
+      n = sys.feeds[filter.segment]->available_row(filter.in.point(), n);
+    }
+  }
+
+  cycle += n;
+  const std::size_t len = static_cast<std::size_t>(n);
+  bool streamed = false;
+  for (std::size_t s = 0; s < systems.size(); ++s) {
+    FastSystem& sys = systems[s];
+    const std::size_t count = sys.filters.size();
+    for (std::size_t k = 0; k < count; ++k) {
+      FastFilter& filter = sys.filters[k];
+      if (!sys.advance[k]) {
+        if (filter.out.is_valid) result.filter_stall_cycles[s][k] += n;
+        continue;
+      }
+      double* block = lane_vals.data() + sys.lane_slot[k] * len;
+      if (filter.segment >= 0) {
+        sys.feeds[filter.segment]->read_row(filter.in.point(), n, block);
+        filter.in.advance_by(n);
+        streamed = true;
+      } else if (sys.advance[k - 1]) {
+        sys.fifos[k - 1].relay(lane_vals.data() + sys.lane_slot[k - 1] * len,
+                               n, block);
+      } else {
+        sys.fifos[k - 1].pop_block(n, block);
+      }
+      filter.in_pos += n;
+      if (k + 1 < count && !sys.fifos[k].cut && !sys.advance[k + 1]) {
+        sys.fifos[k].push_block(block, n);
+      }
+    }
+  }
+  if (streamed) result.drain_start = cycle;
+  stall_cycles = 0;
+  datapath_cycles += n;  // scalar micro-cycles: no kernel lane is filled
+  last_width = n;
+  return true;
+}
+
+/// One scalar micro-cycle: the fallback for every cycle fire_run and
+/// stall_run decline (traced cycles, timed feeds, cycles without progress,
+/// firing cycles that validate unproven ports, firing runs shorter than W).
 bool FastSim::Impl::scalar_cycle() {
   ++datapath_cycles;
   last_width = 1;
@@ -917,7 +1039,8 @@ bool FastSim::Impl::scalar_cycle() {
 }
 
 bool FastSim::Impl::step() {
-  return (run_cap > 0 && fire_run(width)) || scalar_cycle();
+  return (run_cap > 0 && (fire_run(width) || stall_run(1))) ||
+         scalar_cycle();
 }
 
 bool FastSim::step() { return impl_->step(); }
@@ -925,7 +1048,10 @@ bool FastSim::step() { return impl_->step(); }
 SimResult FastSim::run() {
   Impl& im = *impl_;
   while (!im.done() && im.cycle < im.options.max_cycles) {
-    if (im.run_cap == 0 || !im.fire_run(im.run_cap)) im.scalar_cycle();
+    if (im.run_cap == 0 ||
+        !(im.fire_run(im.run_cap) || im.stall_run(im.run_cap))) {
+      im.scalar_cycle();
+    }
     if (im.stall_cycles >= im.options.stall_limit) {
       im.result.deadlocked = true;
       im.result.deadlock_detail = im.describe_stall();

@@ -91,8 +91,12 @@ std::shared_ptr<const FastPlan> compile_fast_plan(
 /// path (proved by probing in compile_fast_plan, and continuously by
 /// run_differential). run() takes R up to a fixed lane-buffer bound;
 /// step() takes exactly one machine cycle, R = datapath_width W. R is
-/// always a multiple of W. Fill, stall and boundary cycles, traced cycles
-/// and timed feeds take the one-cycle scalar path, so every scalar-cycle
+/// always a multiple of W. The cycles that fire nothing -- the fill before
+/// the first fire, the halo discards at every row end -- retire the same
+/// way, one block move per run of cycles with a constant advance pattern
+/// (step() takes one such cycle). Traced cycles, timed feeds, cycles
+/// without progress, firing cycles that validate unproven ports and firing
+/// runs shorter than W take the one-cycle scalar path. Every scalar-cycle
 /// observable (cycles, fires, occupancies, outputs, stalls) is invariant
 /// in R and W; only SimResult::datapath_cycles shrinks with W.
 class FastSim {

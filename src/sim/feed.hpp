@@ -18,7 +18,9 @@ class ExternalFeed {
 
   /// Called once per simulation cycle per attachment, before any
   /// availability query, so timed feeds (PrefetchFeed) can advance their
-  /// internal state. Untimed feeds ignore it.
+  /// internal state. Untimed feeds ignore it. On a time_invariant() feed
+  /// tick() must have no effect: the fast backend skips it for the cycles
+  /// it retires in runs.
   virtual void tick() {}
 
   /// True when the element at grid point `h` can be delivered this cycle.
@@ -29,9 +31,10 @@ class ExternalFeed {
   virtual double read(const poly::IntVec& h) = 0;
 
   /// True when availability and values do not depend on the cycle the
-  /// queries happen on: available(h) never flips back to false and read(h)
-  /// is pure. The fast backend only batches W micro-cycles into one wide
-  /// step when every live feed is time-invariant -- a timed feed
+  /// queries happen on: available(h) never flips back to false, read(h) is
+  /// pure and tick() does nothing. The fast backend only batches cycles
+  /// into one block -- a firing run, a wide step, a run of fill or discard
+  /// cycles -- when every live feed is time-invariant: a timed feed
   /// (PrefetchFeed) or a mid-run producer (QueueFeed) could change state
   /// between the batched micro-cycles, which must stay observable.
   virtual bool time_invariant() const { return false; }

@@ -35,7 +35,8 @@ struct SimOptions {
   bool record_outputs = true;
   /// Allow the fast backend to retire runs of firing cycles as blocks:
   /// design.datapath_width micro-cycles per step() (see
-  /// SimResult::datapath_cycles), longer runs per run(). Never changes any
+  /// SimResult::datapath_cycles), longer runs per run(); and runs of the
+  /// fill and row-end cycles that fire nothing. Never changes any
   /// scalar-cycle observable; disable to force the one-cycle scalar path
   /// at every width (useful when isolating block-path bugs).
   bool vectorize = true;

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "arch/builder.hpp"
+#include "arch/tradeoff.hpp"
 #include "poly/transform.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/tiler.hpp"
@@ -361,51 +362,63 @@ TEST(VectorFuzzGallery, TimedFeedForcesScalarPathButAgrees) {
 
 // ---- batched run() over external feeds ---------------------------------
 
-/// Time-invariant feed of synthetic values that counts its reads. Output
-/// callbacks compare the count between consecutive outputs: a batched run
-/// reads its whole block before emitting its outputs, so only its first
-/// output follows a read, while every scalar firing cycle reads first.
-/// With a `hole`, points from that one on are never available: the run
-/// wedges there, identically in every backend.
+/// Time-invariant feed of synthetic values that counts its value queries:
+/// one per read() and one per read_row(). A scalar cycle reads one point
+/// per advancing head and a batched run one row, so the count is the
+/// number of iterations that streamed data. Output callbacks compare the
+/// count between consecutive outputs: a batched run reads its whole block
+/// before emitting its outputs, so only its first output follows a query,
+/// while every scalar firing cycle reads first. With a `hole`, points from
+/// that one on are never available: the run wedges there, identically in
+/// every backend.
 class CountingFeed final : public ExternalFeed {
  public:
-  CountingFeed(std::size_t array, std::int64_t* reads,
+  CountingFeed(std::size_t array, std::int64_t* queries,
                const poly::IntVec* hole)
-      : array_(array), reads_(reads), hole_(hole) {}
+      : array_(array), queries_(queries), hole_(hole) {}
 
   bool available(const poly::IntVec& h) override {
     return hole_ == nullptr || h < *hole_;
   }
   double read(const poly::IntVec& h) override {
-    ++*reads_;
+    ++*queries_;
     return stencil::synthetic_value(7, array_, h);
   }
   bool time_invariant() const override { return true; }
+  void read_row(const poly::IntVec& h, std::int64_t n, double* out) override {
+    ++*queries_;
+    stencil::synthetic_row(7, array_, h, n, out);
+  }
 
  private:
   std::size_t array_;
-  std::int64_t* reads_;
+  std::int64_t* queries_;
   const poly::IntVec* hole_;
 };
 
 enum class FeedKind {
   kInvariant,     ///< CountingFeed
   kHole,          ///< CountingFeed that stops serving mid-row
+  kFillHole,      ///< CountingFeed that stops serving mid-fill
   kPrefetch,      ///< latency-bound PrefetchFeed over a CountingFeed
   kPrefetchFast,  ///< PrefetchFeed that runs ahead of the consumer
   kQueue,         ///< preloaded QueueFeed
 };
 
 /// Serving stops at the middle of the stream's middle row, where the
-/// chain is in steady state.
-poly::IntVec hole_point(const arch::AcceleratorDesign& design) {
+/// chain is in steady state (kHole), or of its first row, which the head
+/// discards while the chain fills (kFillHole).
+poly::IntVec hole_point(const arch::AcceleratorDesign& design,
+                        FeedKind kind) {
   std::vector<poly::IntVec> points;
   design.systems[0].input_domain.for_each(
       [&](const poly::IntVec& h) { points.push_back(h); });
-  const poly::IntVec& middle = points[points.size() / 2];
+  const poly::IntVec& anchor = kind == FeedKind::kFillHole
+                                   ? points.front()
+                                   : points[points.size() / 2];
   std::vector<poly::IntVec> row;
   for (const poly::IntVec& h : points) {
-    if (std::equal(h.begin(), h.end() - 1, middle.begin())) row.push_back(h);
+    if (std::equal(h.begin(), h.end() - 1, anchor.begin())) row.push_back(h);
   }
   return row[row.size() / 2];
 }
@@ -414,12 +427,14 @@ poly::IntVec hole_point(const arch::AcceleratorDesign& design) {
 /// serves synthetic_value(7, ...) so all kinds compute the same outputs.
 template <typename Sim>
 void install_feeds(Sim& sim, const arch::AcceleratorDesign& design,
-                   FeedKind kind, std::int64_t* reads,
+                   FeedKind kind, std::int64_t* queries,
                    const poly::IntVec* hole) {
   for (std::size_t a = 0; a < design.systems.size(); ++a) {
     for (std::size_t s = 0; s < design.systems[a].stream_count(); ++s) {
       auto counting = std::make_shared<CountingFeed>(
-          a, reads, kind == FeedKind::kHole ? hole : nullptr);
+          a, queries,
+          kind == FeedKind::kHole || kind == FeedKind::kFillHole ? hole
+                                                                 : nullptr);
       std::shared_ptr<ExternalFeed> feed = counting;
       if (kind == FeedKind::kPrefetch) {
         feed = std::make_shared<PrefetchFeed>(counting,
@@ -443,44 +458,47 @@ void install_feeds(Sim& sim, const arch::AcceleratorDesign& design,
 
 struct FeedRun {
   SimResult result;
-  /// Host iterations run() took: one per batched run or scalar cycle.
+  /// Host iterations that streamed data: the CountingFeed queries, one per
+  /// advancing head of a scalar cycle or a batched run.
   std::int64_t iterations = 0;
+  /// Iterations that fired: the outputs that follow a feed query.
+  std::int64_t firing_iterations = 0;
+  /// Queries made before the first output: the fill's iterations.
+  std::int64_t fill_iterations = -1;
 };
 
 /// Runs `p` on `design` over `kind` feeds with a fresh FastSim (from
-/// `plan` when given), by run() or by a step() loop, and counts run()'s
-/// iterations from the outputs that follow a feed read (batched runs and
-/// scalar firing cycles) plus the cycles that fired nothing.
+/// `plan` when given), by run() or by a step() loop, and counts its
+/// iterations from the CountingFeed queries.
 FeedRun run_with_feeds(const stencil::StencilProgram& p,
                        const arch::AcceleratorDesign& design, FeedKind kind,
                        bool by_steps,
                        std::shared_ptr<const FastPlan> plan = nullptr) {
   const SimOptions options;
-  std::int64_t reads = 0;
-  std::int64_t reads_at_output = -1;
-  std::int64_t fresh_outputs = 0;
-  const poly::IntVec hole = hole_point(design);
+  std::int64_t queries = 0;
+  std::int64_t queries_at_output = -1;
+  FeedRun run;
+  const poly::IntVec hole = hole_point(design, kind);
   if (!plan) plan = compile_fast_plan(p, design);
   FastSim sim(p, design, plan, options);
-  install_feeds(sim, design, kind, &reads, &hole);
+  install_feeds(sim, design, kind, &queries, &hole);
   sim.set_output_callback([&](const poly::IntVec&, double) {
-    if (reads != reads_at_output) ++fresh_outputs;
-    reads_at_output = reads;
+    if (run.fill_iterations < 0) run.fill_iterations = queries;
+    if (queries != queries_at_output) ++run.firing_iterations;
+    queries_at_output = queries;
   });
-  FeedRun run;
   run.result = by_steps ? run_by_steps(sim, options) : sim.run();
-  run.iterations =
-      fresh_outputs + (run.result.cycles - run.result.kernel_fires);
+  run.iterations = queries;
   return run;
 }
 
 SimResult reference_with_feeds(const stencil::StencilProgram& p,
                                const arch::AcceleratorDesign& design,
                                FeedKind kind) {
-  std::int64_t reads = 0;
-  const poly::IntVec hole = hole_point(design);
+  std::int64_t queries = 0;
+  const poly::IntVec hole = hole_point(design, kind);
   AcceleratorSim ref(p, design, SimOptions{});
-  install_feeds(ref, design, kind, &reads, &hole);
+  install_feeds(ref, design, kind, &queries, &hole);
   return ref.run();
 }
 
@@ -511,29 +529,36 @@ TEST(BatchedRun, InvariantFeedBatchesAndMatchesStepsAndReference) {
 }
 
 TEST(BatchedRun, InvariantFeedAvailabilityBoundsTheRun) {
-  // A time-invariant feed may still lack points: a run must stop at the
-  // first point the feed does not serve, so the wedge (cycle, stall
-  // accounting, diagnostic) is the reference's.
+  // A time-invariant feed may still lack points: a run -- a firing run, or
+  // the head discarding during the fill -- must stop at the first point
+  // the feed does not serve, so the wedge (cycle, stall accounting,
+  // diagnostic) is the reference's.
   const stencil::StencilProgram p = stencil::denoise_2d(24, 32);
-  for (std::int64_t w : kWidths) {
-    const std::string label = "hole W=" + std::to_string(w);
-    const arch::AcceleratorDesign design = widened_design(p, w);
-    const FeedRun batched = run_with_feeds(p, design, FeedKind::kHole, false);
-    const FeedRun stepped = run_with_feeds(p, design, FeedKind::kHole, true);
-    const SimResult ref = reference_with_feeds(p, design, FeedKind::kHole);
-    EXPECT_TRUE(batched.result.deadlocked) << label;
-    expect_results_match(stepped.result, batched.result, label);
-    EXPECT_EQ(stepped.result.datapath_cycles, batched.result.datapath_cycles)
-        << label;
-    expect_results_match(ref, batched.result, label + " vs reference");
-    EXPECT_LT(batched.iterations, batched.result.cycles) << label;
+  for (FeedKind kind : {FeedKind::kHole, FeedKind::kFillHole}) {
+    for (std::int64_t w : kWidths) {
+      const std::string label =
+          std::string(kind == FeedKind::kHole ? "hole" : "fill hole") +
+          " W=" + std::to_string(w);
+      const arch::AcceleratorDesign design = widened_design(p, w);
+      const FeedRun batched = run_with_feeds(p, design, kind, false);
+      const FeedRun stepped = run_with_feeds(p, design, kind, true);
+      const SimResult ref = reference_with_feeds(p, design, kind);
+      EXPECT_TRUE(batched.result.deadlocked) << label;
+      expect_results_match(stepped.result, batched.result, label);
+      EXPECT_EQ(stepped.result.datapath_cycles,
+                batched.result.datapath_cycles)
+          << label;
+      expect_results_match(ref, batched.result, label + " vs reference");
+      EXPECT_LT(batched.iterations, batched.result.cycles) << label;
+    }
   }
 }
 
 TEST(BatchedRun, UnprovenPortsKeepPerFireValidation) {
   // Without the plan's structural port proof, SimOptions::validate checks
   // every fire's ports, which only the scalar path does: run() must not
-  // batch, and still agrees with the batched proven run.
+  // batch a fire, and still agrees with the batched proven run. The fill
+  // and row-end cycles fire nothing, so they still retire in runs.
   const stencil::StencilProgram p = stencil::denoise_2d(24, 32);
   const arch::AcceleratorDesign design = widened_design(p, 1);
   auto unproven = std::make_shared<FastPlan>(*compile_fast_plan(p, design));
@@ -544,8 +569,9 @@ TEST(BatchedRun, UnprovenPortsKeepPerFireValidation) {
   const FeedRun batched =
       run_with_feeds(p, design, FeedKind::kInvariant, false);
   expect_results_match(batched.result, checked.result, "unproven ports");
-  EXPECT_EQ(checked.iterations, checked.result.cycles);
-  EXPECT_LT(batched.iterations, batched.result.cycles);
+  EXPECT_EQ(checked.firing_iterations, checked.result.kernel_fires);
+  EXPECT_LT(batched.firing_iterations, batched.result.kernel_fires);
+  EXPECT_LT(checked.iterations, checked.result.cycles);
 }
 
 TEST(BatchedRun, SharedPlanKeepsEachProgramsKernel) {
@@ -630,11 +656,116 @@ TEST(BatchedRun, W1DenoiseRetiresFewerIterationsThanCycles) {
       << " cycles";
 }
 
+TEST(BatchedRun, FillRetiresInRunsNotCycles) {
+  // The ~2 rows of fill before the first fire take one run per change of
+  // the advance pattern -- a filter reaching its match, a row end, the
+  // lane buffer -- not one iteration per cycle.
+  const stencil::StencilProgram p = stencil::denoise_2d(96, 128);
+  const arch::AcceleratorDesign design = widened_design(p, 1);
+  const FeedRun run = run_with_feeds(p, design, FeedKind::kInvariant, false);
+  const auto filters =
+      static_cast<std::int64_t>(design.systems[0].filter_count());
+  EXPECT_FALSE(run.result.deadlocked);
+  EXPECT_GT(run.result.fill_latency, 200);
+  EXPECT_GT(run.fill_iterations, 0);
+  EXPECT_LT(run.fill_iterations, 4 * filters)
+      << run.fill_iterations << " iterations for a fill of "
+      << run.result.fill_latency << " cycles";
+}
+
+/// Every SimResult field and every FIFO occupancy of run() stopped after
+/// each cycle c (max_cycles = c) against a step() loop and the reference
+/// under the same options: a run whose bound is too long shows as a state
+/// difference at the cut points inside it, even when the full run
+/// recovers. `base` carries the stall limit of designs that wedge.
+void expect_every_cut_matches_steps(const stencil::StencilProgram& p,
+                                    const arch::AcceleratorDesign& design,
+                                    const std::string& label,
+                                    const SimOptions& base = {}) {
+  std::int64_t cycles = 0;
+  {
+    FastSim full(p, design, base);
+    cycles = full.run().cycles;
+  }
+  for (std::int64_t c = 1; c <= cycles; ++c) {
+    const std::string at = label + " cut at cycle " + std::to_string(c);
+    SimOptions options = base;
+    options.max_cycles = c;
+    FastSim batched(p, design, options);
+    FastSim stepped(p, design, options);
+    AcceleratorSim reference(p, design, options);
+    const SimResult a = batched.run();
+    const SimResult b = run_by_steps(stepped, options);
+    expect_results_match(b, a, at);
+    EXPECT_EQ(b.datapath_cycles, a.datapath_cycles) << at;
+    expect_results_match(reference.run(), a, at + " vs reference");
+    for (std::size_t s = 0; s < design.systems.size(); ++s) {
+      for (std::size_t k = 0; k < design.systems[s].fifos.size(); ++k) {
+        EXPECT_EQ(stepped.fifo_fill(s, k), batched.fifo_fill(s, k))
+            << at << " fifo (" << s << "," << k << ")";
+        EXPECT_EQ(reference.fifo_fill(s, k), batched.fifo_fill(s, k))
+            << at << " fifo (" << s << "," << k << ") vs reference";
+      }
+    }
+    if (::testing::Test::HasFailure()) return;  // first cut is enough
+  }
+}
+
+TEST(BatchedRun, RunStoppedAtAnyCycleMatchesSteps) {
+  stencil::StencilProgram two("TWO", poly::Domain::box({1, 1}, {14, 18}));
+  two.add_input("A", {{-1, 0}, {0, 0}, {1, 0}});
+  two.add_input("W", {{0, -1}, {0, 1}});
+  two.set_kernel(stencil::make_weighted_sum({0.2, 0.2, 0.2, 0.2, 0.2}));
+  const std::vector<stencil::StencilProgram> programs = {
+      stencil::denoise_2d(12, 16), stencil::sobel_2d(12, 16),
+      stencil::heat_2d(12, 16), two};
+  for (std::int64_t w : kWidths) {
+    for (const stencil::StencilProgram& p : programs) {
+      expect_every_cut_matches_steps(p, widened_design(p, w),
+                                     p.name() + " W=" + std::to_string(w));
+    }
+    const stencil::StencilProgram denoise = stencil::denoise_2d(12, 16);
+    for (std::size_t cuts = 1; cuts <= 3; ++cuts) {
+      arch::AcceleratorDesign design = widened_design(denoise, w);
+      design.systems[0] = arch::apply_tradeoff(design.systems[0], cuts);
+      expect_every_cut_matches_steps(denoise, design,
+                                     "DENOISE cuts=" + std::to_string(cuts) +
+                                         " W=" + std::to_string(w));
+    }
+    // Undersized FIFOs (below Eq. 2) fill up and drain while their
+    // neighbours hold, so the space and occupancy bounds of a run bind
+    // before any match does; both designs wedge.
+    SimOptions wedging;
+    wedging.stall_limit = 40;
+    const arch::AcceleratorDesign sized = widened_design(denoise, w);
+    for (const auto& [fifo, depth] : {std::pair<std::size_t, std::int64_t>{
+                                          0, sized.systems[0].fifos[0].depth - 1},
+                                      {3, 1}}) {
+      arch::AcceleratorDesign design = sized;
+      design.systems[0].fifos[fifo].depth = depth;
+      expect_every_cut_matches_steps(denoise, design,
+                                     "DENOISE fifo " + std::to_string(fifo) +
+                                         " depth " + std::to_string(depth) +
+                                         " W=" + std::to_string(w),
+                                     wedging);
+    }
+    // Offsets out of descending order (condition 1): a filter drains its
+    // FIFO while the filter feeding it holds.
+    arch::AcceleratorDesign shuffled = sized;
+    arch::MemorySystem& sys = shuffled.systems[0];
+    std::swap(sys.ordered_offsets[0], sys.ordered_offsets[4]);
+    std::swap(sys.ref_order[0], sys.ref_order[4]);
+    expect_every_cut_matches_steps(
+        denoise, shuffled, "DENOISE shuffled W=" + std::to_string(w),
+        wedging);
+  }
+}
+
 TEST(BatchedRun, TimedFeedsFallBackToScalarCycles) {
   // PrefetchFeed and QueueFeed are not time-invariant: availability may
   // change between cycles, so every cycle must stay observable. run() then
-  // takes one iteration per cycle and still matches the step() loop and
-  // the reference exactly.
+  // takes one iteration per cycle -- one per fire -- and still matches the
+  // step() loop and the reference exactly.
   const stencil::StencilProgram p = stencil::sobel_2d(12, 16);
   for (FeedKind kind :
        {FeedKind::kPrefetch, FeedKind::kPrefetchFast, FeedKind::kQueue}) {
@@ -652,7 +783,8 @@ TEST(BatchedRun, TimedFeedsFallBackToScalarCycles) {
       EXPECT_EQ(batched.result.datapath_cycles, batched.result.cycles)
           << label;
       if (kind != FeedKind::kQueue) {  // a queue feed is not counted
-        EXPECT_EQ(batched.iterations, batched.result.cycles) << label;
+        EXPECT_EQ(batched.firing_iterations, batched.result.kernel_fires)
+            << label;
       }
     }
   }
