@@ -33,27 +33,14 @@ std::string sanitize_name(std::string_view name) {
   return out;
 }
 
-/// Label values escape backslash, double quote and newline.
-std::string escape_label(std::string_view v) {
+/// Label values and HELP text escape backslash, double quote and newline.
+std::string escape(std::string_view v) {
   std::string out;
   out.reserve(v.size());
   for (const char c : v) {
     switch (c) {
       case '\\': out += "\\\\"; break;
       case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string escape_help(std::string_view v) {
-  std::string out;
-  out.reserve(v.size());
-  for (const char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       default: out += c;
     }
@@ -121,8 +108,8 @@ std::string render_openmetrics(const MetricsSnapshot& snapshot) {
         if (dot != std::string::npos) {
           family_name = lf.family;
           help = lf.help;
-          labels = "{array=\"" + escape_label(rest.substr(0, dot)) +
-                   "\",fifo=\"" + escape_label(rest.substr(dot + 1)) + "\"}";
+          labels = "{array=\"" + escape(rest.substr(0, dot)) +
+                   "\",fifo=\"" + escape(rest.substr(dot + 1)) + "\"}";
         }
         break;
       }
@@ -141,13 +128,13 @@ std::string render_openmetrics(const MetricsSnapshot& snapshot) {
                                       "_tenant_" + rest.substr(dot + 1));
           help = "per-tenant serving metric (see docs/SERVING.md)";
           labels =
-              "{tenant=\"" + escape_label(rest.substr(0, dot)) + "\"}";
+              "{tenant=\"" + escape(rest.substr(0, dot)) + "\"}";
         }
       }
     }
     if (family_name.empty()) {
       family_name = sanitize_name(sample.name);
-      help = "stencilcc metric " + escape_help(sample.name);
+      help = "stencilcc metric " + escape(sample.name);
     }
 
     auto it = families.find(family_name);
@@ -218,11 +205,6 @@ std::string http_response(const std::string& status,
          "\r\nConnection: close\r\n\r\n" + body;
 }
 
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 }  // namespace
 
 struct MetricsServer::Impl {
@@ -290,7 +272,7 @@ struct MetricsServer::Impl {
       for (const MetricSample& s : snap.samples) {
         if (s.kind != MetricSample::Kind::kGauge) continue;
         for (const std::string& suffix : options.sampled_suffixes) {
-          if (ends_with(s.name, suffix)) {
+          if (s.name.ends_with(suffix)) {
             registry->histogram(s.name + ".sampled").observe(s.value);
             break;
           }

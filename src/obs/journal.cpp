@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <unordered_set>
 
 #include "obs/metrics.hpp"
 
@@ -25,30 +26,8 @@ std::size_t round_up_pow2(std::size_t n) {
   return p;
 }
 
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 constexpr std::uint8_t kMaxKind =
-    static_cast<std::uint8_t>(JournalKind::kDeadlock);
+    static_cast<std::uint8_t>(JournalKind::kDesignCompiled);
 
 }  // namespace
 
@@ -68,6 +47,7 @@ const char* to_string(JournalKind kind) {
     case JournalKind::kFifoHighWater: return "fifo.high_water";
     case JournalKind::kDepthViolation: return "fifo.depth_violation";
     case JournalKind::kDeadlock: return "deadlock";
+    case JournalKind::kDesignCompiled: return "design.compiled";
   }
   return "unknown";
 }
@@ -80,14 +60,28 @@ struct alignas(64) JournalSlot {
 };
 
 struct Journal::ThreadRing {
-  ThreadRing(std::size_t cap_, std::uint32_t tid_)
-      : cap(cap_), tid(tid_), slots(new JournalSlot[cap_]) {}
+  explicit ThreadRing(std::size_t cap_)
+      : cap(cap_), slots(new JournalSlot[cap_]) {}
 
-  const std::size_t cap;   ///< power of two
-  const std::uint32_t tid;
+  const std::size_t cap;  ///< power of two
   std::unique_ptr<JournalSlot[]> slots;
-  std::uint64_t head = 0;  ///< owner-thread only
+  /// The holding thread's id and write position: touched only by that
+  /// thread, and handed to the next holder under Impl::mu.
+  std::uint32_t tid = 0;
+  std::uint64_t head = 0;
   std::atomic<std::uint64_t> written{0};
+
+  /// A thread that held this ring; its events are the ring's writes
+  /// [first, end), with end set when the thread let go.
+  struct Owner {
+    std::uint32_t tid = 0;
+    std::string name;
+    std::uint64_t first = 0;
+    std::uint64_t end = 0;
+  };
+  /// Holders whose events may still be in the ring, the current one last.
+  /// Guarded by Impl::mu.
+  std::vector<Owner> owners;
 };
 
 struct Journal::Impl {
@@ -97,11 +91,58 @@ struct Journal::Impl {
   std::atomic<std::uint64_t> dropped{0};
   std::atomic<std::uint64_t> dump_seq{0};
 
-  mutable std::mutex mu;  ///< rings list, intern table, post-mortem dir
-  std::vector<std::shared_ptr<ThreadRing>> rings;
+  mutable std::mutex mu;  ///< rings, intern table, post-mortem dir
+  std::vector<std::unique_ptr<ThreadRing>> rings;  ///< held or free
+  std::vector<ThreadRing*> free_rings;  ///< let go by exited threads
+  std::uint32_t next_tid = 0;
   std::vector<std::string> names{std::string()};  ///< id 0 = anonymous
   std::unordered_map<std::string, std::uint32_t> name_ids;
   std::string dir;
+
+  /// The calling thread's ring, taken on its first call (null once the
+  /// ring budget is exhausted). Keyed by journal instance id so a thread
+  /// can record into several journals at once. The ring goes back when
+  /// the thread exits; the deleter's copy of `impl` keeps the journal's
+  /// state alive until then.
+  static ThreadRing* local_ring(const std::shared_ptr<Impl>& impl) {
+    thread_local std::unordered_map<std::uint64_t, std::shared_ptr<ThreadRing>>
+        t_rings;
+    const auto [it, fresh] = t_rings.try_emplace(impl->id);
+    if (fresh) {
+      if (ThreadRing* const ring = impl->acquire()) {
+        it->second.reset(ring, [impl](ThreadRing* r) { impl->release(r); });
+      }
+    }
+    return it->second.get();
+  }
+
+  /// A free ring (forgetting the holders it has since overwritten) or a
+  /// new one within the budget, under a fresh thread id.
+  ThreadRing* acquire() {
+    std::lock_guard<std::mutex> lock(mu);
+    ThreadRing* ring = nullptr;
+    if (!free_rings.empty()) {
+      ring = free_rings.back();
+      free_rings.pop_back();
+      std::erase_if(ring->owners, [ring](const ThreadRing::Owner& o) {
+        return o.end == o.first || o.end + ring->cap <= ring->head;
+      });
+    } else if (rings.size() < kMaxThreadRings) {
+      rings.push_back(std::make_unique<ThreadRing>(cap));
+      ring = rings.back().get();
+    } else {
+      return nullptr;
+    }
+    ring->tid = next_tid++ & 0xffffff;  // the slot keeps 24 bits
+    ring->owners.push_back({ring->tid, std::string(), ring->head, 0});
+    return ring;
+  }
+
+  void release(ThreadRing* ring) {
+    std::lock_guard<std::mutex> lock(mu);
+    ring->owners.back().end = ring->head;
+    free_rings.push_back(ring);
+  }
 };
 
 namespace {
@@ -113,7 +154,7 @@ std::uint64_t next_frame_id() {
   return g_next_frame_id.fetch_add(1, std::memory_order_relaxed);
 }
 
-Journal::Journal(std::size_t ring_capacity) : impl_(std::make_unique<Impl>()) {
+Journal::Journal(std::size_t ring_capacity) : impl_(std::make_shared<Impl>()) {
   impl_->id = g_next_journal_id.fetch_add(1, std::memory_order_relaxed);
   impl_->cap = round_up_pow2(std::max<std::size_t>(ring_capacity, 8));
 }
@@ -138,28 +179,9 @@ void Journal::record(JournalKind kind, std::uint64_t frame, std::int32_t stage,
   (void)kind, (void)frame, (void)stage, (void)tile;
   (void)a, (void)b, (void)name_id;
 #else
-  // Per-thread ring lookup, keyed by journal instance id so tests can hold
-  // several journals at once. A null entry means this thread arrived after
-  // the ring budget was exhausted: its events are counted as dropped.
-  thread_local std::unordered_map<std::uint64_t, std::shared_ptr<ThreadRing>>
-      t_rings;
   Impl& im = *impl_;
   if (!im.enabled.load(std::memory_order_relaxed)) return;
-
-  auto it = t_rings.find(im.id);
-  if (it == t_rings.end()) {
-    std::shared_ptr<ThreadRing> ring;
-    {
-      std::lock_guard<std::mutex> lock(im.mu);
-      if (im.rings.size() < kMaxThreadRings) {
-        ring = std::make_shared<ThreadRing>(
-            im.cap, static_cast<std::uint32_t>(im.rings.size()));
-        im.rings.push_back(ring);
-      }
-    }
-    it = t_rings.emplace(im.id, std::move(ring)).first;
-  }
-  ThreadRing* ring = it->second.get();
+  ThreadRing* const ring = Impl::local_ring(impl_);
   if (ring == nullptr) {
     im.dropped.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -175,7 +197,7 @@ void Journal::record(JournalKind kind, std::uint64_t frame, std::int32_t stage,
                   std::memory_order_relaxed);
   slot.w[1].store(frame, std::memory_order_relaxed);
   slot.w[2].store(static_cast<std::uint64_t>(static_cast<std::uint8_t>(kind)) |
-                      (static_cast<std::uint64_t>(ring->tid & 0xffffff) << 8) |
+                      (static_cast<std::uint64_t>(ring->tid) << 8) |
                       (static_cast<std::uint64_t>(name_id) << 32),
                   std::memory_order_relaxed);
   slot.w[3].store(static_cast<std::uint64_t>(
@@ -189,18 +211,29 @@ void Journal::record(JournalKind kind, std::uint64_t frame, std::int32_t stage,
 #endif
 }
 
+void Journal::set_thread_name(std::string name) {
+#ifdef NUP_OBS_DISABLE
+  (void)name;
+#else
+  ThreadRing* const ring = Impl::local_ring(impl_);
+  if (ring == nullptr) return;
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  ring->owners.back().name = std::move(name);
+#endif
+}
+
 std::vector<JournalRecord> Journal::snapshot(std::size_t last_n) const {
   Impl& im = *impl_;
-  std::vector<std::shared_ptr<ThreadRing>> rings;
+  std::vector<const ThreadRing*> rings;
   std::vector<std::string> names;
   {
     std::lock_guard<std::mutex> lock(im.mu);
-    rings = im.rings;
+    for (const auto& ring : im.rings) rings.push_back(ring.get());
     names = im.names;
   }
 
   std::vector<JournalRecord> out;
-  for (const auto& ring : rings) {
+  for (const ThreadRing* ring : rings) {
     for (std::size_t i = 0; i < ring->cap; ++i) {
       const JournalSlot& slot = ring->slots[i];
       const std::uint64_t s1 = slot.seq.load(std::memory_order_acquire);
@@ -240,13 +273,9 @@ std::vector<JournalRecord> Journal::snapshot(std::size_t last_n) const {
 }
 
 std::uint64_t Journal::recorded() const {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    rings = impl_->rings;
-  }
+  std::lock_guard<std::mutex> lock(impl_->mu);
   std::uint64_t total = 0;
-  for (const auto& ring : rings) {
+  for (const auto& ring : impl_->rings) {
     total += ring->written.load(std::memory_order_relaxed);
   }
   return total;
@@ -352,6 +381,157 @@ std::string Journal::dump_postmortem(const PostmortemInfo& info,
   out.close();
   if (!out) return std::string();
   return path;
+}
+
+namespace {
+
+/// Chrome trace timestamps are microseconds; keep ns resolution as a
+/// fraction.
+std::string micros(std::int64_t ns) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%lld.%03lld",
+                static_cast<long long>(ns / 1000),
+                static_cast<long long>(ns % 1000));
+  return buf;
+}
+
+/// The trace scope of a component (its interned metric namespace): the
+/// prefix of its frame events' names. Engines have none.
+std::string scope_of(std::string_view name) {
+  for (const std::string scope : {"pipeline.", "temporal."}) {
+    if (name.starts_with(scope) || name == scope.substr(0, scope.size() - 1)) {
+      return scope;
+    }
+  }
+  return "";
+}
+
+bool frame_terminal(JournalKind kind) {
+  return kind == JournalKind::kFrameCompleted ||
+         kind == JournalKind::kFrameFailed ||
+         kind == JournalKind::kFrameCancelled;
+}
+
+/// Slices end at their record's timestamp and last `a` microseconds.
+bool slice_kind(JournalKind kind) {
+  return kind == JournalKind::kTileExecuted ||
+         kind == JournalKind::kDesignCompiled;
+}
+
+}  // namespace
+
+std::string Journal::chrome_trace(TraceTotals* totals) const {
+  const std::vector<JournalRecord> events = snapshot();
+  std::unordered_map<std::uint32_t, std::string> thread_names;
+  {
+    std::lock_guard<std::mutex> lock(impl_->mu);
+    for (const auto& ring : impl_->rings) {
+      for (const ThreadRing::Owner& o : ring->owners) {
+        if (!o.name.empty()) thread_names[o.tid] = o.name;
+      }
+    }
+  }
+  const TraceTotals t{recorded(), events.size(), dropped()};
+  if (totals != nullptr) *totals = t;
+
+  // Frame lanes: the first frame-level admission of a frame id opens it,
+  // the first terminal event of the same component closes it. A lane is
+  // drawn only when both ends are still in the rings.
+  std::unordered_map<std::uint64_t, std::size_t> openers;
+  std::vector<bool> lane_end(events.size(), false);
+  std::int64_t base = events.empty() ? 0 : events.front().ts_ns;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const JournalRecord& r = events[i];
+    if (slice_kind(r.kind)) base = std::min(base, r.ts_ns - r.a * 1000);
+    if (r.kind == JournalKind::kFrameAdmitted && r.stage == -1) {
+      openers.try_emplace(r.frame, i);
+    } else if (frame_terminal(r.kind)) {
+      const auto it = openers.find(r.frame);
+      if (it != openers.end() && !lane_end[it->second] &&
+          events[it->second].name == r.name) {
+        lane_end[it->second] = lane_end[i] = true;
+      }
+    }
+  }
+
+  std::string out = "{\"traceEvents\":[";
+  const auto emit = [&](char ph, std::string_view name, std::string_view cat,
+                        std::uint32_t tid, std::int64_t ts_ns,
+                        const std::string& rest) {
+    if (out.back() == '}') out += ',';
+    out += "{\"ph\":\"";
+    out += ph;
+    out += "\",\"name\":\"";
+    out += name;
+    out += "\",\"cat\":\"";
+    out += cat;
+    out += "\",\"pid\":1,\"tid\":" + std::to_string(tid) +
+           ",\"ts\":" + micros(ts_ns - base) + rest + '}';
+  };
+  const auto args = [](const JournalRecord& r, std::string_view extra) {
+    std::string s = ",\"args\":{\"frame\":" + std::to_string(r.frame) +
+                    ",\"stage\":" + std::to_string(r.stage) +
+                    ",\"tile\":" + std::to_string(r.tile);
+    s += extra;
+    if (!r.name.empty()) {
+      s += ",\"component\":";
+      append_json_string(s, r.name);
+    }
+    return s + '}';
+  };
+
+  std::unordered_set<std::uint32_t> named;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const JournalRecord& r = events[i];
+    if (named.insert(r.thread).second) {
+      const auto it = thread_names.find(r.thread);
+      std::string name = ",\"args\":{\"name\":";
+      append_json_string(name, it != thread_names.end()
+                                   ? it->second
+                                   : "thread-" + std::to_string(r.thread));
+      emit('M', "thread_name", "__metadata", r.thread, base, name + '}');
+    }
+    const std::string scope = scope_of(r.name);
+    const std::string id = ",\"id\":\"" + std::to_string(r.frame) + '"';
+    if (slice_kind(r.kind)) {
+      const bool tile = r.kind == JournalKind::kTileExecuted;
+      const std::int64_t dur = r.a * 1000;
+      emit('X', tile ? "tile" : "design-compile", tile ? "engine" : "cache",
+           r.thread, r.ts_ns - dur,
+           ",\"dur\":" + micros(dur) +
+               args(r, !tile     ? ""
+                       : r.b != 0 ? ",\"ok\":true"
+                                  : ",\"ok\":false"));
+      // The frame's flow step sits inside the slice, before its end, so
+      // Perfetto binds the arrow to this tile.
+      if (tile) {
+        emit('t', "frame", "frame", r.thread,
+             r.ts_ns - std::min<std::int64_t>(dur, 1000) / 2, id);
+      }
+    } else if (r.kind == JournalKind::kFrameAdmitted && lane_end[i]) {
+      emit('b', scope + "frame", "frame", r.thread, r.ts_ns, id + args(r, ""));
+      emit('s', "frame", "frame", r.thread, r.ts_ns, id);
+    } else {
+      const bool frame_event =
+          r.kind == JournalKind::kFrameAdmitted || frame_terminal(r.kind);
+      emit('i',
+           r.kind == JournalKind::kDepResolved
+               ? std::string("pipeline.release")
+               : (frame_event ? scope : "") + to_string(r.kind),
+           scope.empty() ? "engine" : scope.substr(0, scope.size() - 1),
+           r.thread, r.ts_ns,
+           ",\"s\":\"t\"" + args(r, ",\"a\":" + std::to_string(r.a) +
+                                     ",\"b\":" + std::to_string(r.b)));
+      // The flow end binds to its enclosing slice ("bp":"e").
+      if (lane_end[i]) {
+        emit('f', "frame", "frame", r.thread, r.ts_ns, id + ",\"bp\":\"e\"");
+        emit('e', scope + "frame", "frame", r.thread, r.ts_ns, id);
+      }
+    }
+  }
+  return out + "],\"otherData\":{\"recorded\":" + std::to_string(t.recorded) +
+         ",\"rendered\":" + std::to_string(t.rendered) +
+         ",\"dropped\":" + std::to_string(t.dropped) + "}}";
 }
 
 Journal& Journal::global() {

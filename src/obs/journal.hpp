@@ -2,10 +2,12 @@
 #define NUP_OBS_JOURNAL_HPP
 
 /// Flight recorder: an always-on, lock-free ring of compact structured
-/// events, one ring per recording thread, plus a post-mortem dumper that
-/// bundles the last-N events (merged across threads, time-ordered) with a
-/// metrics snapshot and the offending design's describe() text whenever a
-/// frame fails, is cancelled, deadlocks, or violates its Eq. 2 depth bound.
+/// events, one ring per live recording thread, plus a post-mortem dumper
+/// that bundles the last-N events (merged across threads, time-ordered)
+/// with a metrics snapshot and the offending design's describe() text
+/// whenever a frame fails, is cancelled, deadlocks, or violates its Eq. 2
+/// depth bound, and a renderer that turns the same events into a
+/// Chrome/Perfetto trace.
 ///
 /// The write path is a seqlock per 64-byte slot: one sequence word and
 /// seven relaxed payload words bracketed by release/acquire fences, so
@@ -42,14 +44,17 @@ enum class JournalKind : std::uint8_t {
   kFifoHighWater,    ///< a = high water, b = designed depth
   kDepthViolation,   ///< a = high water, b = designed (Eq. 2) depth
   kDeadlock,         ///< simulator returned a deadlock verdict
+  kDesignCompiled,   ///< design-cache miss compiled; a = compile us
 };
 
 const char* to_string(JournalKind kind);
 
-/// One decoded event. `name` resolves the writer's interned name id
-/// (engine / pipeline / edge instance); empty when the writer passed 0.
+/// One decoded event. `name` resolves the writer's interned name id, which
+/// is the component's metric namespace (`engine[.<name>]`,
+/// `pipeline.<name>`, `pipeline.edge.<label>`, `temporal.<name>`); empty
+/// when the writer passed 0.
 struct JournalRecord {
-  std::int64_t ts_ns = 0;  ///< steady-clock nanoseconds (same base as Tracer)
+  std::int64_t ts_ns = 0;  ///< steady-clock nanoseconds since its epoch
   JournalKind kind = JournalKind::kNone;
   std::uint32_t thread = 0;  ///< recording thread (registration order)
   std::uint64_t frame = 0;   ///< causal frame id (obs::next_frame_id)
@@ -84,6 +89,15 @@ struct PostmortemInfo {
   std::size_t last_n = 256;  ///< events to include, newest first
 };
 
+/// How much of the journal a rendered trace holds: `rendered` < `recorded`
+/// means the rings wrapped (or a record raced the render), `dropped`
+/// counts events lost to the thread-ring budget.
+struct TraceTotals {
+  std::uint64_t recorded = 0;
+  std::uint64_t rendered = 0;
+  std::uint64_t dropped = 0;
+};
+
 class Journal {
  public:
   /// ring_capacity is rounded up to a power of two; each recording thread
@@ -110,6 +124,10 @@ class Journal {
   /// Torn slots (racing a concurrent writer) are skipped, not waited on.
   std::vector<JournalRecord> snapshot(std::size_t last_n = 0) const;
 
+  /// Names the calling thread in rendered traces (thread_name metadata).
+  /// Takes a lock; call once when the thread starts.
+  void set_thread_name(std::string name);
+
   /// Total events ever recorded (including those overwritten by ring wrap)
   /// and events dropped because the thread-ring budget was exhausted.
   std::uint64_t recorded() const;
@@ -122,6 +140,12 @@ class Journal {
   /// The journal is always-on by default; benches A/B against this.
   void set_enabled(bool enabled);
   bool enabled() const;
+
+  /// Renders snapshot() as Chrome trace-event JSON (chrome://tracing,
+  /// Perfetto): {"traceEvents":[...],"otherData":{"recorded":N,
+  /// "rendered":M,"dropped":D}}; docs/OBSERVABILITY.md has the mapping.
+  /// Safe to call concurrently with recording.
+  std::string chrome_trace(TraceTotals* totals = nullptr) const;
 
   /// Post-mortem bundles are written under this directory; empty (the
   /// default) disables dumping entirely.
@@ -144,19 +168,23 @@ class Journal {
   static Journal& global();
 
   static constexpr std::size_t kDefaultRingCapacity = 4096;
-  /// Budget backstop: threads beyond this many get their events dropped
-  /// (and counted) instead of growing slot storage without bound.
+  /// Budget backstop: a thread's ring goes back to the journal when the
+  /// thread exits and is reused, under a fresh thread id, by the next
+  /// thread that records; threads that start while this many rings are
+  /// held get their events dropped (and counted) instead.
   static constexpr std::size_t kMaxThreadRings = 512;
 
  private:
   struct ThreadRing;
   struct Impl;
-  std::unique_ptr<Impl> impl_;
+  /// Shared with every thread holding one of its rings, so a thread that
+  /// outlives the journal can still hand its ring back.
+  std::shared_ptr<Impl> impl_;
 };
 
 /// Process-wide causal frame-id allocator: every frame that enters any
 /// engine, pipeline, or temporal runner gets a unique id so journal events
-/// and trace flows from different components stitch into one lane.
+/// from different components stitch into one trace lane.
 std::uint64_t next_frame_id();
 
 }  // namespace nup::obs

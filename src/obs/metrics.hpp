@@ -151,4 +151,8 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
+/// Appends `s` to `out` as a quoted JSON string (the one escaper behind
+/// every JSON document src/obs writes).
+void append_json_string(std::string& out, std::string_view s);
+
 }  // namespace nup::obs

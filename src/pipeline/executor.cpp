@@ -6,7 +6,6 @@
 #include <mutex>
 #include <utility>
 
-#include "obs/trace.hpp"
 #include "pipeline/dependency.hpp"
 #include "util/error.hpp"
 
@@ -43,7 +42,7 @@ struct FrameCtx {
   FrameOptions frame_options;
   std::uint64_t frame_id = 0;  ///< tracker frame id (unique while armed)
   std::uint64_t trace_id = 0;  ///< causal id threaded through every stage
-  bool own_events = true;      ///< pipeline owns the frame's trace lane
+  bool own_events = true;      ///< pipeline owns the frame's post-mortem
   std::chrono::steady_clock::time_point t0;
 
   std::vector<runtime::FrameHandle> handles;          // per stage
@@ -142,7 +141,7 @@ struct PipelineExecutor::Impl
     registry = options.metrics ? options.metrics : &obs::Registry::global();
     journal = options.journal ? options.journal : &obs::Journal::global();
     jname = journal->intern(
-        options.name.empty() ? "pipeline" : options.name);
+        options.name.empty() ? "pipeline" : "pipeline." + options.name);
     if (graph.stage_count() == 0) {
       throw Error("PipelineExecutor: empty stage graph");
     }
@@ -185,7 +184,8 @@ struct PipelineExecutor::Impl
       edge_labels.push_back(
           (options.name.empty() ? std::string() : options.name + ".") +
           edge.label);
-      const std::string epfx = "pipeline.edge." + edge_labels.back() + ".";
+      const std::string edge_name = "pipeline.edge." + edge_labels.back();
+      const std::string epfx = edge_name + ".";
       h_ready.push_back(&registry->histogram(epfx + "ready_us"));
       // One arena per scheduling node (1 with numa off), so slabs recycle
       // through the arena of the node that first-touched them.
@@ -195,7 +195,7 @@ struct PipelineExecutor::Impl
                          &registry->counter(epfx + "slab_recycled"));
       pool->bind_resident_gauge(&registry->gauge(
           "pool." + edge_labels.back() + ".resident_bytes"));
-      pool->bind_journal(journal, journal->intern(edge_labels.back()));
+      pool->bind_journal(journal, journal->intern(edge_name));
       pools.push_back(std::move(pool));
     }
     tracker = std::make_unique<DependencyTracker>(
@@ -224,12 +224,6 @@ struct PipelineExecutor::Impl
     journal->record(obs::JournalKind::kDepResolved, c.trace_id,
                     static_cast<std::int32_t>(stage),
                     static_cast<std::int64_t>(tile), us, 0, jname);
-    obs::Tracer& tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-      tracer.instant("pipeline.release", "pipeline",
-                     "{\"stage\":" + std::to_string(stage) +
-                         ",\"tile\":" + std::to_string(tile) + "}");
-    }
     // Outside c.mu: from the submitting thread this can block on a full
     // queue (backpressure); from a worker it never does.
     engine->release_tile(c.handles[stage], tile);
@@ -394,18 +388,6 @@ struct PipelineExecutor::Impl
         : r.cancelled    ? obs::JournalKind::kFrameCancelled
                          : obs::JournalKind::kFrameCompleted;
     journal->record(kind, c.trace_id, -1, -1, r.total_us, 0, jname);
-    obs::Tracer& tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-      tracer.instant(!r.error.empty()
-                         ? "pipeline.frame.failed"
-                         : r.cancelled ? "pipeline.frame.cancelled"
-                                       : "pipeline.frame.completed",
-                     "pipeline");
-      if (c.own_events) {
-        tracer.flow_end("frame", "pipeline", c.trace_id);
-        tracer.async_end("pipeline.frame", "pipeline", c.trace_id);
-      }
-    }
     if (r.cancelled && r.error.empty() && c.own_events) {
       obs::PostmortemInfo pm;
       pm.reason = "frame_cancelled";
@@ -642,12 +624,6 @@ PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
   ctx->t0 = std::chrono::steady_clock::now();
   im.journal->record(obs::JournalKind::kFrameAdmitted, ctx->trace_id, -1, -1,
                      admit_us, total_tiles, im.jname);
-  obs::Tracer& tracer = obs::Tracer::global();
-  if (ctx->own_events && tracer.enabled()) {
-    tracer.async_begin("pipeline.frame", "pipeline", ctx->trace_id,
-                       "{\"seed\":" + std::to_string(seed) + "}");
-    tracer.flow_start("frame", "pipeline", ctx->trace_id);
-  }
 
   // Register every stage frame (deferred: nothing enqueues) before any
   // tile is released, so a fast producer can never resolve into a stage

@@ -93,9 +93,9 @@ struct FrameOptions {
   /// single flow lane.
   std::uint64_t frame_id = 0;
 
-  /// When true (default) the pipeline owns the frame's trace lane
-  /// (async begin/end, flow start/end) and the cancellation post-mortem.
-  /// The temporal runner sets false and owns both at frame granularity.
+  /// When true (default) the pipeline owns the frame's cancellation
+  /// post-mortem. The temporal runner sets false and owns it at frame
+  /// granularity; its own admission, recorded first, opens the trace lane.
   bool own_frame_events = true;
 };
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <sstream>
 
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace nup::runtime {
@@ -121,22 +120,19 @@ DesignCache::lookup_or_compile_locked(const stencil::StencilProgram& program,
   entry->fingerprint = fingerprint(program, build);
 
   // Miss path: microarchitecture generation + row-program compilation,
-  // recorded as one "design-compile" span and a latency observation.
-  obs::Tracer& tracer = obs::Tracer::global();
-  std::string span_args;
-  if (tracer.enabled()) {
-    span_args = "{\"fingerprint\":" + std::to_string(entry->fingerprint) +
-                ",\"program\":\"" + program.name() + "\"}";
-  }
-  obs::Span span(tracer, "design-compile", "cache", std::move(span_args));
+  // recorded as one latency observation and one journal event.
   const auto t0 = std::chrono::steady_clock::now();
   entry->design = arch::build_design(program, build);
   entry->plan = sim::compile_fast_plan(program, entry->design);
-  const auto t1 = std::chrono::steady_clock::now();
-  span.end();
-  m_compile_us_->observe(
-      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-          .count());
+  const std::int64_t compile_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  m_compile_us_->observe(compile_us);
+  if (journal_ != nullptr) {
+    journal_->record(obs::JournalKind::kDesignCompiled, 0, -1, -1, compile_us,
+                     0, jname_);
+  }
 
   ++stats_.inserts;
   m_inserts_->inc();
@@ -205,6 +201,12 @@ void DesignCache::unpin(const stencil::StencilProgram& program,
     stats_.entries = lru_.size();
     m_entries_->set(static_cast<std::int64_t>(lru_.size()));
   }
+}
+
+void DesignCache::bind_journal(obs::Journal* journal, std::uint32_t name_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  journal_ = journal;
+  jname_ = name_id;
 }
 
 DesignCacheStats DesignCache::stats() const {

@@ -9,6 +9,7 @@
 
 #include "arch/builder.hpp"
 #include "arch/design.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fast.hpp"
 #include "stencil/program.hpp"
@@ -91,6 +92,11 @@ class DesignCache {
   void unpin(const stencil::StencilProgram& program,
              const arch::BuildOptions& build = {});
 
+  /// Journals every miss's compilation (kDesignCompiled, a = compile us)
+  /// under `name_id` (the engine interns its own name). Unbound caches
+  /// journal nothing.
+  void bind_journal(obs::Journal* journal, std::uint32_t name_id);
+
   DesignCacheStats stats() const;
   void clear();
 
@@ -134,6 +140,8 @@ class DesignCache {
   obs::Gauge* m_pinned_ = nullptr;
   obs::Gauge* m_entries_ = nullptr;
   obs::Histogram* m_compile_us_ = nullptr;
+  obs::Journal* journal_ = nullptr;
+  std::uint32_t jname_ = 0;
 };
 
 }  // namespace nup::runtime

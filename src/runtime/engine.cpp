@@ -14,7 +14,6 @@
 #include <sched.h>
 #endif
 
-#include "obs/trace.hpp"
 #include "runtime/telemetry.hpp"
 #include "sim/fast.hpp"
 #include "util/error.hpp"
@@ -310,7 +309,8 @@ struct FrameEngine::Impl {
     topo = options.numa == NumaMode::kOff ? Topology::single_node()
                                           : Topology::discover();
     queues.resize(topo.node_count());
-    jname = journal->intern(options.name.empty() ? "engine" : options.name);
+    jname = journal->intern(prefix.substr(0, prefix.size() - 1));
+    cache.bind_journal(journal, jname);
     m_queue_depth = &registry->gauge(prefix + "queue_depth");
     m_queue_depth_max = &registry->gauge(prefix + "queue_depth_max");
     m_backpressure_us = &registry->histogram(prefix + "backpressure_wait_us");
@@ -394,16 +394,11 @@ struct FrameEngine::Impl {
     m_local_fraction->set(1000 * (total - remote) / total);
   }
 
-  /// Sets the live queue-depth gauge and mirrors it as a Chrome counter
-  /// track; call with the size observed under qmu (after a push or pop).
+  /// Sets the live queue-depth gauges; call with the size observed under
+  /// qmu (after a push or pop).
   void note_queue_depth(std::size_t depth) {
     m_queue_depth->set(static_cast<std::int64_t>(depth));
     m_queue_depth_max->update_max(static_cast<std::int64_t>(depth));
-    obs::Tracer& tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-      tracer.counter(prefix + "queue_depth",
-                     static_cast<std::int64_t>(depth));
-    }
   }
 
   void resolve(FrameState& frame) {
@@ -444,19 +439,6 @@ struct FrameEngine::Impl {
                         : obs::JournalKind::kFrameCompleted,
                     frame.options.frame_id, frame.options.stage, -1,
                     frame_us, 0, jname);
-    obs::Tracer& tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-      tracer.instant(
-          !frame.result.error.empty()
-              ? "frame.failed"
-              : frame.result.cancelled ? "frame.cancelled"
-                                       : "frame.completed",
-          "engine");
-      if (frame.options.own_frame_events) {
-        tracer.flow_end("frame", "frame", frame.options.frame_id);
-        tracer.async_end("frame", "frame", frame.options.frame_id);
-      }
-    }
     if (frame.result.cancelled && frame.options.own_frame_events) {
       // Failure post-mortems are dumped at the failing tile (where the
       // design and FIFO detail live); cancellation has no tile, so the
@@ -496,8 +478,9 @@ struct FrameEngine::Impl {
     }
   }
 
-  /// Accounts for one tile that will not run: counters, journal event,
-  /// trace instant, tile hook. The caller counts it down.
+  /// Accounts for one tile that will not run: counters, journal event
+  /// (so a trace of a cancelled frame still accounts for every tile),
+  /// tile hook. The caller counts it down.
   void note_skipped(FrameState& frame, std::size_t tile_idx) {
     frame.skipped.fetch_add(1, std::memory_order_relaxed);
     {
@@ -508,11 +491,6 @@ struct FrameEngine::Impl {
     journal->record(obs::JournalKind::kTileSkipped, frame.options.frame_id,
                     frame.options.stage, static_cast<std::int64_t>(tile_idx),
                     0, 0, jname);
-    // Skipped tiles leave no open span behind: a zero-duration instant
-    // marks them so a trace of a cancelled frame still accounts for
-    // every tile.
-    obs::Tracer& tracer = obs::Tracer::global();
-    if (tracer.enabled()) tracer.instant("tile.skipped", "engine");
     if (frame.options.on_tile) frame.options.on_tile(tile_idx, nullptr, false);
   }
 
@@ -526,7 +504,6 @@ struct FrameEngine::Impl {
 
   void run_tile(FrameState& frame, const Tile& tile, std::size_t tile_idx,
                 obs::Counter& worker_busy_us, obs::Counter& worker_tiles) {
-    obs::Tracer& tracer = obs::Tracer::global();
     if (frame.cancelled.load(std::memory_order_relaxed)) {
       note_skipped(frame, tile_idx);
       return;
@@ -538,15 +515,6 @@ struct FrameEngine::Impl {
     }
     m_tiles_executed->inc();
 
-    std::string span_args;
-    if (tracer.enabled()) {
-      span_args = "{\"seed\":" + std::to_string(frame.seed) +
-                  ",\"tile\":" + std::to_string(tile_idx) + ",\"program\":\"" +
-                  tile.program->name() + "\"}";
-    }
-    // RAII span: closes on every exit path (including a tile that throws),
-    // so cancelled or failed frames never leave a dangling span.
-    obs::Span span(tracer, "tile", "engine", std::move(span_args));
     const auto t0 = std::chrono::steady_clock::now();
     bool ok = true;
     try {
@@ -591,11 +559,6 @@ struct FrameEngine::Impl {
         k += static_cast<std::size_t>(n);
       });
       const sim::SimResult r = sim.run();
-      // Emitted while the tile span is open, so the frame's flow arrow
-      // binds to this tile slice in Perfetto.
-      if (tracer.enabled()) {
-        tracer.flow_step("frame", "frame", frame.options.frame_id);
-      }
       obs::FifoDetail violation;
       const int violations =
           publish_sim_telemetry(*registry, entry->design, r, &violation);
@@ -688,7 +651,7 @@ struct FrameEngine::Impl {
 
   void worker_loop(std::size_t worker, std::size_t node) {
     tl_worker_of = this;
-    obs::Tracer::global().set_thread_name(
+    journal->set_thread_name(
         (options.name.empty() ? std::string() : options.name + ".") +
         "worker-" + std::to_string(worker));
     if (options.numa != NumaMode::kOff) pin_to_cpus(topo.node(node).cpus);
@@ -896,12 +859,6 @@ FrameHandle FrameEngine::submit(std::shared_ptr<const TilePlan> plan,
                      frame->options.frame_id, frame->options.stage, -1, 0,
                      static_cast<std::int64_t>(plan->tiles.size()),
                      im.jname);
-  obs::Tracer& tracer = obs::Tracer::global();
-  if (frame->options.own_frame_events && tracer.enabled()) {
-    tracer.async_begin("frame", "frame", frame->options.frame_id,
-                       "{\"seed\":" + std::to_string(seed) + "}");
-    tracer.flow_start("frame", "frame", frame->options.frame_id);
-  }
   if (frame->options.deferred) {
     // The caller releases tiles itself (release_tile) as dependencies
     // resolve; nothing is enqueued here.

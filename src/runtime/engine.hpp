@@ -136,10 +136,10 @@ struct SubmitOptions {
   std::shared_ptr<const std::vector<std::shared_ptr<const CachedDesign>>>
       designs;
 
-  /// Causal identity of the frame across the whole pipeline: journal
-  /// events and Perfetto flow events carry it, so one frame's admission,
-  /// per-stage tiles and retirement stitch into a single lane. 0 (the
-  /// default) allocates a fresh process-wide id (obs::next_frame_id).
+  /// Causal identity of the frame across the whole pipeline: every journal
+  /// event carries it, so one frame's admission, per-stage tiles and
+  /// retirement render as a single trace lane. 0 (the default) allocates a
+  /// fresh process-wide id (obs::next_frame_id).
   std::uint64_t frame_id = 0;
 
   /// Pipeline stage index recorded with the frame's journal events; -1
@@ -147,9 +147,10 @@ struct SubmitOptions {
   std::int32_t stage = -1;
 
   /// When false this frame is one stage of a larger pipelined frame: the
-  /// owner (pipeline executor / temporal runner) emits the frame-level
-  /// async lane, flow start/end, and post-mortem on cancellation; the
-  /// engine then only records per-stage lifecycle and tile events.
+  /// owner (pipeline executor / temporal runner) dumps the post-mortem on
+  /// cancellation, and its frame-level journal events open and close the
+  /// frame's trace lane; the engine records per-stage lifecycle and tile
+  /// events (`stage` >= 0).
   bool own_frame_events = true;
 };
 

@@ -647,12 +647,14 @@ void StencilServer::register_tenant(const std::string& tenant,
   impl_->ensure_tenant_locked(tenant);
 }
 
-void StencilServer::join_tenant(const std::string& tenant) {
+bool StencilServer::join_tenant(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   if (!impl_->sched.has_tenant(tenant)) {
+    if (impl_->tenant_entries.size() >= kMaxJoinedTenants) return false;
     impl_->sched.register_tenant(tenant, impl_->options.default_quota);
   }
   impl_->ensure_tenant_locked(tenant);
+  return true;
 }
 
 SubmitResult StencilServer::submit(const std::string& tenant,

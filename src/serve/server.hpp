@@ -158,8 +158,15 @@ class StencilServer {
 
   /// Registers the tenant with ServeOptions::default_quota unless it is
   /// registered already; a registered tenant keeps its quota (a remote
-  /// HELLO must not re-quota what the operator configured).
-  void join_tenant(const std::string& tenant);
+  /// HELLO must not re-quota what the operator configured). Returns false,
+  /// registering nothing, for a new tenant once kMaxJoinedTenants tenants
+  /// are registered.
+  bool join_tenant(const std::string& tenant);
+
+  /// Tenants past which join_tenant turns new names away: each tenant is
+  /// a serve.tenant.<name>.* metric family, so this bounds what a remote
+  /// client can add to /metrics.
+  static constexpr std::size_t kMaxJoinedTenants = 256;
 
   /// Admission decision + future for one frame request. Never blocks on
   /// the engine: over-quota submits shed immediately. Throws Error for an

@@ -87,9 +87,10 @@ struct ServeEndpoint::Impl {
           reply = "ERR usage: HELLO <tenant>";
         } else if (!valid_tenant_name(words[1])) {
           reply = "ERR bad tenant name";
+        } else if (!server->join_tenant(words[1])) {
+          reply = "ERR too many tenants";
         } else {
           tenant = words[1];
-          server->join_tenant(tenant);
           reply = "OK " + tenant;
         }
       } else if (words[0] == "SUBMIT") {

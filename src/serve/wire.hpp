@@ -35,7 +35,9 @@ struct ServeEndpointOptions {
 /// A tenant name is [A-Za-z0-9_-]{1,64} (it becomes the serve.tenant.*
 /// metric namespace); any other answers `ERR bad tenant name` and
 /// registers nothing. HELLO gives a new tenant ServeOptions::default_quota
-/// and leaves a registered tenant's quota alone. A seed or id is a decimal
+/// and leaves a registered tenant's quota alone; past
+/// StencilServer::kMaxJoinedTenants registered tenants a new name answers
+/// `ERR too many tenants` and registers nothing. A seed or id is a decimal
 /// below 2^64; a larger one answers `ERR usage: ...`. Anything malformed
 /// answers `ERR <reason>` and keeps the connection.
 /// `checksum` is the FNV-1a hash of the frame's output bit patterns

@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "obs/trace.hpp"
 #include "pipeline/stage_buffer.hpp"
 #include "temporal/golden.hpp"
 
@@ -124,9 +123,9 @@ pipeline::PipelineHandle TemporalRunner::submit_pass(
                    static_cast<std::int64_t>(pass),
                    static_cast<std::int64_t>(shape.replicas), jname_);
   pipeline::FrameOptions frame;
-  // One causal identity across all passes of the frame: the runner owns
-  // the trace lane (async begin/end, flow start/end); each pass's stage
-  // tiles bind to it through flow steps.
+  // One causal identity across all passes of the frame: the runner's
+  // admission and terminal events bound its trace lane, and every pass's
+  // stage tiles join it by frame id.
   frame.frame_id = trace_id;
   frame.own_frame_events = false;
   if (pass == 0) return executor.submit(seed, std::move(frame));
@@ -192,7 +191,6 @@ std::vector<FrameOutcome> TemporalRunner::run_frames(
 
   std::deque<InFlight> in_flight;
   std::size_t next_frame = 0;
-  obs::Tracer& tracer = obs::Tracer::global();
   const auto admit = [&] {
     if (next_frame >= seeds.size()) return;
     InFlight f;
@@ -201,28 +199,17 @@ std::vector<FrameOutcome> TemporalRunner::run_frames(
     f.trace_id = obs::next_frame_id();
     journal_->record(obs::JournalKind::kFrameAdmitted, f.trace_id, -1, -1,
                      0, static_cast<std::int64_t>(num_passes), jname_);
-    if (tracer.enabled()) {
-      tracer.async_begin("temporal.frame", "temporal", f.trace_id,
-                         "{\"seed\":" + std::to_string(seeds[next_frame]) +
-                             ",\"passes\":" + std::to_string(num_passes) +
-                             "}");
-      tracer.flow_start("frame", "temporal", f.trace_id);
-    }
     f.handle = submit_pass(seeds[next_frame], 0, f.trace_id, nullptr, {}, {});
     in_flight.push_back(std::move(f));
     ++next_frame;
   };
-  // Closes the frame's trace lane and journals its terminal event.
+  // Journals the frame's terminal event (which closes its trace lane).
   const auto finish_frame = [&](const InFlight& f, bool failed,
                                 std::int64_t generations) {
     journal_->record(failed ? obs::JournalKind::kFrameFailed
                             : obs::JournalKind::kFrameCompleted,
                      f.trace_id, -1, -1, generations,
                      static_cast<std::int64_t>(f.pass), jname_);
-    if (tracer.enabled()) {
-      tracer.flow_end("frame", "temporal", f.trace_id);
-      tracer.async_end("temporal.frame", "temporal", f.trace_id);
-    }
   };
   while (in_flight.size() < window && next_frame < seeds.size()) admit();
 

@@ -27,7 +27,6 @@
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/fast.hpp"
 #include "stencil/gallery.hpp"
 #include "stencil/golden.hpp"
@@ -338,15 +337,13 @@ TEST(FrameEngine, MetricsRegistryObservesServeRun) {
 }
 
 TEST(FrameEngine, TraceAccountsForEveryTileOfACancelledFrame) {
-  obs::Tracer& tracer = obs::Tracer::global();
-  tracer.clear();
-  tracer.set_enabled(true);
-
+  obs::Journal journal;
   FrameResult result;
   {
     EngineOptions options;
     options.threads = 1;
     options.tile_shape = {1, 0};  // many tiles per frame
+    options.journal = &journal;
     FrameEngine engine(options);
     const stencil::StencilProgram p = slow_program(12, 10, milliseconds(1));
     FrameHandle handle = engine.submit(p, 7);
@@ -355,10 +352,9 @@ TEST(FrameEngine, TraceAccountsForEveryTileOfACancelledFrame) {
     result = handle.wait();
     engine.shutdown(FrameEngine::Drain::kDrainAll);
   }
-  tracer.set_enabled(false);
 
   ASSERT_TRUE(result.cancelled);
-  const std::string json = tracer.to_chrome_json();
+  const std::string json = journal.chrome_trace();
   const auto count_of = [&json](const std::string& needle) {
     std::int64_t n = 0;
     for (std::size_t at = json.find(needle); at != std::string::npos;
@@ -367,12 +363,12 @@ TEST(FrameEngine, TraceAccountsForEveryTileOfACancelledFrame) {
     }
     return n;
   };
-  // One complete span per executed tile, one instant per skipped tile:
-  // cancellation leaves no tile unaccounted and no span dangling.
+  // One complete slice per executed tile, one instant per skipped tile:
+  // cancellation leaves no tile unaccounted and no lane open.
   EXPECT_EQ(count_of("\"name\":\"tile\""), result.tiles_executed) << json;
   EXPECT_EQ(count_of("\"name\":\"tile.skipped\""), result.tiles_skipped);
   EXPECT_EQ(count_of("\"name\":\"frame.cancelled\""), 1);
-  tracer.clear();
+  EXPECT_EQ(count_of("\"ph\":\"b\""), count_of("\"ph\":\"e\""));
 }
 
 // Post-mortem bundles: the flight recorder must leave a bundle naming the

@@ -521,6 +521,42 @@ TEST(ServeEndpoint, HelloRejectsTenantNamesOutsideTheGrammar) {
   EXPECT_EQ(client.command("QUIT"), "OK bye");
 }
 
+TEST(ServeEndpoint, HelloPastTheTenantCapRegistersNothing) {
+  obs::Registry registry;
+  ServeOptions options;
+  options.engine.threads = 1;
+  options.metrics = &registry;
+  StencilServer server(options);
+  server.add_kernel(stencil::jacobi_2d(16, 20));
+  ServeEndpoint endpoint(server);
+  ASSERT_TRUE(endpoint.ok()) << endpoint.error();
+
+  WireClient client(endpoint.port());
+  ASSERT_TRUE(client.connected());
+  const std::size_t cap = StencilServer::kMaxJoinedTenants;
+  for (std::size_t i = 0; i < cap; ++i) {
+    const std::string name = "t" + std::to_string(i);
+    ASSERT_EQ(client.command("HELLO " + name), "OK " + name);
+  }
+  const auto tenant_series = [&registry] {
+    std::size_t n = 0;
+    for (const obs::MetricSample& sample : registry.snapshot().samples) {
+      if (sample.name.rfind("serve.tenant.", 0) == 0) ++n;
+    }
+    return n;
+  };
+  const std::size_t series = tenant_series();
+  EXPECT_EQ(client.command("HELLO newcomer"), "ERR too many tenants");
+  EXPECT_EQ(tenant_series(), series);
+  EXPECT_EQ(server.tenant_stats("newcomer").submitted, 0);
+  // Registered tenants still join, and the session keeps the last tenant
+  // that was accepted.
+  EXPECT_EQ(client.command("HELLO t0"), "OK t0");
+  EXPECT_EQ(words_of(client.command("SUBMIT JACOBI_2D 1"))[0], "OK");
+  EXPECT_EQ(server.tenant_stats("t0").submitted, 1);
+  EXPECT_EQ(client.command("QUIT"), "OK bye");
+}
+
 TEST(ServeEndpoint, StopLeavesAReusedFdNumberAlone) {
   ServeOptions options;
   options.engine.threads = 1;

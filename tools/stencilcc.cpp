@@ -93,8 +93,9 @@
 //                  with --serve: cancel the k-th submitted frame mid
 //                  flight (exercises the cancellation post-mortem path;
 //                  that frame's cancellation is expected, not an error)
-//   --trace <f>    record spans (tile execution, design compiles) and
-//                  write Chrome trace-event JSON to <f>; open it in
+//   --trace <f>    render the flight recorder (tile execution, design
+//                  compiles, frame lanes; the newest 4096 events per
+//                  thread) as Chrome trace-event JSON into <f>; open it in
 //                  chrome://tracing or https://ui.perfetto.dev
 //   --stats        print the metrics registry as an aligned table
 //   --quiet        suppress the summary
@@ -118,7 +119,6 @@
 #include "obs/expo.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/stage_graph.hpp"
 #include "runtime/engine.hpp"
@@ -242,7 +242,8 @@ void usage() {
       "  --cancel-frame <k>\n"
       "                  with --serve: cancel the k-th frame mid-flight\n"
       "                  (exercises the cancellation post-mortem)\n"
-      "  --trace <f>     write Chrome trace-event JSON to <f>\n"
+      "  --trace <f>     write the flight recorder as Chrome trace-event\n"
+      "                  JSON to <f>\n"
       "  --stats         print the metrics registry as an aligned table\n"
       "  --quiet         suppress the summaries\n"
       "  -h, --help      this text\n"
@@ -668,7 +669,7 @@ bool write_file(const std::string& path, const std::string& text) {
 }
 
 // The shared observability tail: --metrics / --trace / --stats read the
-// global registry and tracer, which both the compile path and the
+// global registry and journal, which both the compile path and the
 // pipelined path feed. Returns nonzero when an export file cannot be
 // written.
 int emit_observability(const std::string& metrics_path,
@@ -680,9 +681,20 @@ int emit_observability(const std::string& metrics_path,
       !write_file(metrics_path, snap.to_json() + "\n")) {
     rc = 1;
   }
-  if (!trace_path.empty() &&
-      !write_file(trace_path, nup::obs::Tracer::global().to_chrome_json())) {
-    rc = 1;
+  if (!trace_path.empty()) {
+    nup::obs::TraceTotals totals;
+    if (!write_file(trace_path,
+                    nup::obs::Journal::global().chrome_trace(&totals))) {
+      rc = 1;
+    }
+    if (totals.rendered < totals.recorded || totals.dropped > 0) {
+      std::fprintf(stderr,
+                   "stencilcc: trace truncated: %llu of %llu events "
+                   "rendered, %llu dropped\n",
+                   static_cast<unsigned long long>(totals.rendered),
+                   static_cast<unsigned long long>(totals.recorded),
+                   static_cast<unsigned long long>(totals.dropped));
+    }
   }
   if (stats_table) std::printf("%s", snap.to_table().c_str());
   return rc;
@@ -969,7 +981,6 @@ int main(int argc, char** argv) {
     name = basename_no_ext(pipeline_spec.empty() ? input : pipeline_spec);
   }
   if (vcd_cycles > 0) options.sim.trace_cycles = vcd_cycles;
-  if (!trace_path.empty()) obs::Tracer::global().set_enabled(true);
   if (!postmortem_dir.empty()) {
     obs::Journal::global().set_postmortem_dir(postmortem_dir);
   }
