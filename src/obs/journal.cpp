@@ -44,7 +44,6 @@ const char* to_string(JournalKind kind) {
     case JournalKind::kSlabLeased: return "slab.leased";
     case JournalKind::kSlabRecycled: return "slab.recycled";
     case JournalKind::kPassStarted: return "pass.started";
-    case JournalKind::kFifoHighWater: return "fifo.high_water";
     case JournalKind::kDepthViolation: return "fifo.depth_violation";
     case JournalKind::kDeadlock: return "deadlock";
     case JournalKind::kDesignCompiled: return "design.compiled";

@@ -41,7 +41,6 @@ enum class JournalKind : std::uint8_t {
   kSlabLeased,       ///< a = elements, b = 1 when the lease hit the heap
   kSlabRecycled,     ///< a = elements returned to the pool
   kPassStarted,      ///< a = pass index, b = generations in the pass
-  kFifoHighWater,    ///< a = high water, b = designed depth
   kDepthViolation,   ///< a = high water, b = designed (Eq. 2) depth
   kDeadlock,         ///< simulator returned a deadlock verdict
   kDesignCompiled,   ///< design-cache miss compiled; a = compile us

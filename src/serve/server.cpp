@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "obs/journal.hpp"
 #include "runtime/design_cache.hpp"
 #include "runtime/tiler.hpp"
 #include "util/error.hpp"
@@ -403,6 +404,8 @@ struct ServerImpl : std::enable_shared_from_this<ServerImpl> {
   }
 
   void dispatch_loop() {
+    (options.journal != nullptr ? options.journal : &obs::Journal::global())
+        ->set_thread_name("serve-dispatch");
     for (;;) {
       std::vector<std::shared_ptr<RequestState>> group;
       {

@@ -12,10 +12,12 @@
 #include <chrono>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "stencil/gallery.hpp"
@@ -499,6 +501,42 @@ TEST(StencilServer, NamedInstanceNamespacesItsMetrics) {
       expo.find("serve_edge_tenant_completed_total{tenant=\"a\"} 1"),
       std::string::npos)
       << expo;
+}
+
+// The dispatcher submits every admitted frame to the engine, so the
+// engine's frame.admitted events land on the dispatcher's thread; the
+// rendered trace must name that thread rather than fall back to a number.
+TEST(StencilServer, DispatcherNamesItsJournalThread) {
+  obs::Journal journal;
+  obs::Registry registry;
+  ServeOptions options;
+  options.engine.threads = 1;
+  options.metrics = &registry;
+  options.journal = &journal;
+  StencilServer server(options);
+  server.add_kernel(stencil::jacobi_2d(16, 20));
+  for (std::uint64_t seed = 0; seed < 2; ++seed) {
+    SubmitResult r = server.submit("a", "JACOBI_2D", seed);
+    ASSERT_TRUE(r.admitted());
+    ASSERT_TRUE(r.handle.wait().ok());
+  }
+  server.shutdown();
+
+  std::set<std::uint32_t> admitting;
+  for (const obs::JournalRecord& r : journal.snapshot()) {
+    if (r.kind == obs::JournalKind::kFrameAdmitted) admitting.insert(r.thread);
+  }
+  ASSERT_EQ(admitting.size(), 1u);
+  const std::string json = journal.chrome_trace();
+  const std::size_t at = json.find(
+      "\"name\":\"thread_name\",\"cat\":\"__metadata\",\"pid\":1,"
+      "\"tid\":" +
+      std::to_string(*admitting.begin()) + ",");
+  ASSERT_NE(at, std::string::npos) << json;
+  const std::string record = json.substr(at, json.find("}}", at) - at);
+  EXPECT_NE(record.find("\"args\":{\"name\":\"serve-dispatch\""),
+            std::string::npos)
+      << record;
 }
 
 }  // namespace

@@ -1,115 +1,27 @@
-// stencilcc -- the design-automation flow (Fig 11) as a command-line tool.
-//
-//   stencilcc [options] <kernel.c>
-//
-// Reads a mini-C stencil kernel, generates the non-uniform memory system,
-// verifies it by cycle-accurate simulation against a golden software
-// execution, and writes the Verilog, testbench, transformed HLS kernel,
-// integration header and a JSON report into the output directory.
-//
-// Options:
-//   -o <dir>       output directory (default: .)
-//   --name <n>     accelerator name (default: derived from the file name)
-//   --exact        exact union-domain sizing and streaming
-//   --width <W>    datapath width (Fig 14's bandwidth knob): W elements
-//                  stream per cycle and every reuse FIFO is organized as
-//                  ceil(depth / W) W-element words. The fast simulator
-//                  retires W-cell spans per machine cycle (AVX2 where the
-//                  host supports it), bit-identical to W=1. Default 1
-//   --no-verify    skip the simulation run
-//   --vcd <N>      dump a VCD of the first N cycles
-//   --sim-backend <reference|fast>
-//                  simulator backend for the verification run (default:
-//                  reference; fast is the compiled lane, bit-identical)
-//   --cpp-model    also emit a standalone C co-simulation model
-//   --rtl-check    execute the generated Verilog in the built-in RTL
-//                  interpreter (small programs only)
-//   --serve <N>    serving mode: after compiling, serve N frames of the
-//                  kernel through the multi-tenant serving subsystem
-//                  (admission quotas, weighted-fair scheduling, design-
-//                  affinity batching over the tiled runtime; see
-//                  docs/SERVING.md) and print throughput, shed and cache
-//                  statistics. --tenants/--quota/--shed-after/
-//                  --serve-policy/--serve-mix shape the workload and the
-//                  admission rules; --serve-port additionally accepts
-//                  remote tenants over the loopback line protocol
-//   --threads <T>  worker threads for --serve (default: hardware)
-//   --tile <a,b,..> tile extents per dimension for --serve (0 = full
-//                  extent; default: automatic shape)
-//   --numa <m>     locality mode of the staged/serving runtimes: auto
-//                  discovers the memory-node topology, places tiles on
-//                  nodes and pins per-node workers; interleave
-//                  round-robins tiles over nodes; off (default) keeps
-//                  the single-queue scheduler (docs/RUNTIME.md)
-//   --pipeline <spec>
-//                  stage-pipelined mode: <spec> holds several mini-C
-//                  kernels separated by lines starting with `---`; they
-//                  are chained into a stage DAG and executed with
-//                  tile-granular producer-consumer overlap (stage k+1
-//                  starts on a tile as soon as the producer tiles
-//                  covering its halo resolve). --serve/--threads/--tile
-//                  set the frame count, per-stage workers and tile shape;
-//                  --barrier switches to the frame-barrier baseline
-//   --barrier      with --pipeline: wait for whole producer frames
-//                  instead of halo-covering tiles (scheduling baseline)
-//   --frames <N>   with --pipeline: number of frames to pump (alias of
-//                  --serve that reads naturally next to --inflight)
-//   --inflight <K> with --pipeline: cross-frame admission window --
-//                  at most K frames in flight at once (1 = frame-serial,
-//                  0 = unbounded; default 4). Successive frames interleave
-//                  tiles on the pipeline's one engine, recycling buffer
-//                  slabs, so steady state allocates nothing per tile
-//   --timesteps <T>
-//                  temporal mode: treat the kernel as one step of an
-//                  iterative solver and sweep T generations (Zohouri-style
-//                  temporal blocking). The step is unrolled into chains of
-//                  B replica stages -- each replica's reuse FIFOs sized
-//                  non-uniformly by the arch builder -- and ceil(T/B)
-//                  passes stream through the pipelined runtime
-//   --block <B>    temporal mode: blocking factor B in [1, T] -- replicas
-//                  per pass (default 1 = frame-serial)
-//   --boundary <shrink|clamp|wrap|constant>
-//                  temporal mode: how replicas read past the previous
-//                  generation's domain edge (default shrink)
-//   --bc-value <V> temporal mode: Dirichlet value for --boundary constant
-//   --tolerance <E>
-//                  temporal mode: convergence monitor -- stop a frame's
-//                  remaining passes once the pass-boundary max-abs
-//                  residual is <= E (0 disables, the default)
-//   --metrics <f>  write the metrics registry (cache/engine/fifo/sim
-//                  telemetry, see docs/OBSERVABILITY.md) as JSON to <f>
-//   --metrics-port <p>
-//                  serve the live registry over HTTP on 127.0.0.1:<p>
-//                  (0 = ephemeral; the bound port is printed):
-//                  GET /metrics is OpenMetrics, /metrics.json is JSON
-//   --hold <ms>    linger <ms> milliseconds after the run completes, so
-//                  a scraper can hit --metrics-port before exit
-//   --postmortem <dir>
-//                  on frame failure / cancellation / deadlock / depth
-//                  violation, write a flight-recorder bundle (last-N
-//                  journal events, metrics snapshot, offending design)
-//                  into <dir>
-//   --cancel-frame <k>
-//                  with --serve: cancel the k-th submitted frame mid
-//                  flight (exercises the cancellation post-mortem path;
-//                  that frame's cancellation is expected, not an error)
-//   --trace <f>    render the flight recorder (tile execution, design
-//                  compiles, frame lanes; the newest 4096 events per
-//                  thread) as Chrome trace-event JSON into <f>; open it in
-//                  chrome://tracing or https://ui.perfetto.dev
-//   --stats        print the metrics registry as an aligned table
-//   --quiet        suppress the summary
+// stencilcc -- the design-automation flow (Fig 11) as a command-line tool:
+// compile a mini-C stencil kernel into its non-uniform reuse-buffer
+// accelerator, then optionally serve, pipeline or time-sweep it. `--help`.
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -133,7 +45,20 @@
 #include "temporal/runner.hpp"
 #include "util/error.hpp"
 
+using namespace nup;
+
 namespace {
+
+// Upper bounds of the numeric flags. Each keeps an accepted value cheap to
+// act on: a frame count sizes the handle and seed vectors up front, and a
+// blocking factor multiplies the worker count (threads x replicas).
+constexpr long kMaxFrames = 1'000'000;
+constexpr long kMaxThreads = 1024;
+constexpr long kMaxTimesteps = 1'000'000;
+constexpr long kMaxBlock = 64;
+constexpr long kMaxHoldMs = 3'600'000;
+constexpr long kMaxPort = 65535;
+constexpr long kMaxLong = std::numeric_limits<long>::max();
 
 void usage() {
   std::fprintf(
@@ -147,14 +72,18 @@ void usage() {
       "golden software run, and writes Verilog, testbench, HLS kernel,\n"
       "integration header and a JSON report.\n"
       "\n"
+      "Numbers must be whole tokens within the bounds shown; a malformed\n"
+      "or out-of-range value, or a flag whose mode is not selected, exits\n"
+      "with status 2.\n"
+      "\n"
       "compile options:\n"
       "  -o <dir>        output directory for the artifacts (default: .)\n"
       "  --name <n>      accelerator name (default: from the file name)\n"
       "  --exact         exact union-domain sizing and streaming\n"
-      "  --width <W>     datapath width: W elements per cycle, FIFOs in\n"
-      "                  W-element words (default 1)\n"
+      "  --width <W>     datapath width in [1, 64]: W elements per cycle,\n"
+      "                  FIFOs in W-element words (default 1)\n"
       "  --no-verify     skip the verification simulation\n"
-      "  --vcd <N>       dump a VCD of the first N verification cycles\n"
+      "  --vcd <N>       dump a VCD of the first N >= 0 verification cycles\n"
       "  --sim-backend <reference|fast>\n"
       "                  simulator backend for verification (default:\n"
       "                  reference; fast is bit-identical)\n"
@@ -163,43 +92,47 @@ void usage() {
       "                  RTL interpreter (small programs only)\n"
       "\n"
       "serving options (single kernel, pipeline and temporal modes):\n"
-      "  --serve <N>     serve N frames through the multi-tenant serving\n"
-      "                  subsystem (see docs/SERVING.md) and print\n"
-      "                  throughput / shed / cache statistics\n"
-      "  --frames <N>    alias of --serve for the staged modes\n"
-      "  --threads <T>   worker threads (per stage in the staged modes;\n"
-      "                  default: hardware concurrency)\n"
-      "  --tile <a,b,..> tile extents per dimension (0 = full extent;\n"
-      "                  default: automatic shape)\n"
+      "  --serve <N>     frames in [1, 1000000]: serve a compiled kernel's\n"
+      "                  frames through the multi-tenant serving subsystem\n"
+      "                  and print throughput / shed / cache statistics;\n"
+      "                  the staged modes pump N frames (default 1)\n"
+      "  --frames <N>    alias of --serve in every mode\n"
+      "  --threads <T>   worker threads in [0, 1024], per stage in the\n"
+      "                  staged modes (default 0 = hardware concurrency)\n"
+      "  --tile <a,b,..> tile extents per dimension, each >= 0 (0 = full\n"
+      "                  extent; default: automatic shape)\n"
       "  --numa <auto|off|interleave>\n"
-      "                  locality-aware execution: discover the memory-\n"
-      "                  node topology (NUP_FAKE_TOPOLOGY=<n> simulates n\n"
-      "                  nodes anywhere), place tiles on nodes and pin\n"
-      "                  per-node workers with idle stealing (default:\n"
-      "                  off; see docs/RUNTIME.md)\n"
+      "                  place tiles on memory nodes and pin per-node\n"
+      "                  workers with idle stealing (NUP_FAKE_TOPOLOGY=<n>\n"
+      "                  fakes n nodes; default off; docs/RUNTIME.md)\n"
+      "  --inflight <K>  admission window in [0, 1000000]: at most K\n"
+      "                  frames (or temporal passes) in flight (1 =\n"
+      "                  serial, 0 = unbounded except with --timesteps,\n"
+      "                  which needs K >= 1; default 4)\n"
       "\n"
-      "multi-tenant serving (with --serve; see docs/SERVING.md):\n"
-      "  --tenants <T>   spread the frames over T synthetic tenants\n"
+      "multi-tenant serving (single-kernel --serve only; docs/SERVING.md):\n"
+      "  --tenants <T>   spread the frames over T in [1, 256] tenants\n"
       "                  t0..t<T-1>, scheduled weighted-fair (default 1)\n"
-      "  --quota <Q>     per-tenant quota: at most Q of a tenant's frames\n"
-      "                  execute concurrently (default 4)\n"
+      "  --quota <Q>     per-tenant quota: at most Q >= 1 of a tenant's\n"
+      "                  frames execute concurrently (default 4)\n"
       "  --shed-after <S>\n"
-      "                  per-tenant queue-depth cap: submits past S\n"
-      "                  queued frames are shed with an explicit verdict\n"
-      "                  instead of queuing without bound (default 64)\n"
+      "                  per-tenant queue cap: submits past S >= 1 queued\n"
+      "                  frames are shed with a verdict (default 64)\n"
       "  --serve-policy <affinity|rr>\n"
-      "                  dispatch order: affinity drains same-design\n"
-      "                  groups (one design compile per group); rr is the\n"
-      "                  design-blind weighted-fair baseline (default:\n"
-      "                  affinity)\n"
+      "                  affinity drains same-design groups (one compile\n"
+      "                  per group); rr is the design-blind weighted-fair\n"
+      "                  baseline (default: affinity)\n"
       "  --serve-mix <k1,k2,..>\n"
       "                  also register these gallery kernels and rotate\n"
       "                  the submitted frames across all kernels (e.g.\n"
       "                  jacobi_2d,blur_2d) -- a mixed-design workload\n"
       "  --serve-port <p>\n"
-      "                  also accept remote tenants on 127.0.0.1:<p> via\n"
-      "                  the line protocol (0 = ephemeral; the bound\n"
-      "                  port is printed)\n"
+      "                  also accept remote tenants on 127.0.0.1:<p>, p in\n"
+      "                  [0, 65535], via the line protocol (0 = ephemeral;\n"
+      "                  the bound port is printed)\n"
+      "  --cancel-frame <k>\n"
+      "                  cancel frame k (below the frame count) mid-flight\n"
+      "                  (exercises the cancellation post-mortem)\n"
       "\n"
       "pipeline mode:\n"
       "  --pipeline <spec>\n"
@@ -208,110 +141,350 @@ void usage() {
       "                  tile-granular producer-consumer overlap\n"
       "  --barrier       wait for whole producer frames instead of\n"
       "                  halo-covering tiles (scheduling baseline)\n"
-      "  --inflight <K>  cross-frame admission window: at most K frames\n"
-      "                  (or temporal passes) in flight (1 = serial,\n"
-      "                  0 = unbounded; default 4)\n"
       "\n"
       "temporal mode (iterative solvers; see docs/TEMPORAL.md):\n"
-      "  --timesteps <T> sweep T generations of the kernel: the step is\n"
+      "  --timesteps <T> sweep T in [1, 1000000] generations: the step is\n"
       "                  unrolled into chains of B replica stages, each\n"
       "                  replica's reuse FIFOs sized non-uniformly, and\n"
       "                  ceil(T/B) passes stream through the pipeline\n"
-      "  --block <B>     blocking factor B in [1, T]: replicas per pass\n"
-      "                  (default 1 = frame-serial)\n"
+      "  --block <B>     blocking factor B in [1, min(T, 64)]: replicas\n"
+      "                  per pass (default 1 = frame-serial)\n"
       "  --boundary <shrink|clamp|wrap|constant>\n"
       "                  reads past the previous generation's domain edge:\n"
       "                  shrink grows earlier replicas' domains so every\n"
       "                  read is contained; clamp/wrap/constant keep all\n"
       "                  replicas on the target box (default: shrink)\n"
-      "  --bc-value <V>  Dirichlet value for --boundary constant\n"
-      "  --tolerance <E> stop a frame early once the pass-boundary\n"
-      "                  max-abs residual is <= E (0 = run all passes)\n"
+      "  --bc-value <V>  finite Dirichlet value for --boundary constant\n"
+      "  --tolerance <E> stop a frame once its pass-boundary max-abs\n"
+      "                  residual is <= E >= 0 (default 0 = all passes)\n"
       "\n"
       "observability:\n"
       "  --metrics <f>   write the metrics registry as JSON to <f>\n"
       "  --metrics-port <p>\n"
-      "                  serve the live registry on 127.0.0.1:<p>\n"
-      "                  (0 = ephemeral; bound port printed): /metrics is\n"
-      "                  OpenMetrics, /metrics.json is JSON\n"
-      "  --hold <ms>     linger <ms> ms after the run so a scraper can\n"
-      "                  hit --metrics-port before exit\n"
+      "                  serve the live registry on 127.0.0.1:<p>, p in\n"
+      "                  [0, 65535] (0 = ephemeral; bound port printed):\n"
+      "                  /metrics is OpenMetrics, /metrics.json is JSON\n"
+      "  --hold <ms>     linger ms in [0, 3600000] after the run so a\n"
+      "                  scraper can hit --metrics-port before exit\n"
       "  --postmortem <dir>\n"
       "                  write flight-recorder bundles for failed /\n"
       "                  cancelled / deadlocked frames into <dir>\n"
-      "  --cancel-frame <k>\n"
-      "                  with --serve: cancel the k-th frame mid-flight\n"
-      "                  (exercises the cancellation post-mortem)\n"
       "  --trace <f>     write the flight recorder as Chrome trace-event\n"
       "                  JSON to <f>\n"
       "  --stats         print the metrics registry as an aligned table\n"
       "  --quiet         suppress the summaries\n"
       "  -h, --help      this text\n"
       "\n"
-      "example -- 8 Jacobi generations, 4 replicas per pass (2 passes),\n"
-      "clamped boundary, metrics to heat.json:\n"
+      "example -- 8 heat generations, 4 replicas per pass (2 passes),\n"
+      "clamped boundary, metrics to heat.json; heat.c is one update step:\n"
       "  stencilcc --timesteps 8 --block 4 --boundary clamp \\\n"
-      "            --metrics heat.json heat.c\n"
-      "heat.c being one update step, e.g.\n"
-      "  out[i][j] = 0.1*(in[i-1][j]+in[i+1][j]+in[i][j-1]+in[i][j+1])\n"
-      "            + 0.6*in[i][j];\n");
+      "            --metrics heat.json heat.c\n");
 }
 
-bool parse_tile_shape(const std::string& spec, nup::poly::IntVec* shape) {
-  shape->clear();
-  std::istringstream in(spec);
-  std::string field;
-  while (std::getline(in, field, ',')) {
-    char* end = nullptr;
-    const long value = std::strtol(field.c_str(), &end, 10);
-    if (end == field.c_str() || *end != '\0') return false;
-    shape->push_back(value);
+// The one way a command line is refused: say what is wrong, show the
+// options, exit 2.
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "stencilcc: %s\n", message.c_str());
+  usage();
+  std::exit(2);
+}
+
+// True when strto* (called with errno cleared) consumed all of `text`
+// without leading blanks and without running out of range.
+bool whole_token(const std::string& text, const char* end) {
+  return !text.empty() && !std::isspace(static_cast<unsigned char>(text[0])) &&
+         *end == '\0' && errno != ERANGE;
+}
+
+long read_integer(const std::string& flag, const std::string& text, long lo,
+                  long hi) {
+  errno = 0;
+  char* end = nullptr;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (!whole_token(text, end) || value < lo || value > hi) {
+    usage_error(flag + " wants an integer in [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "], got '" + text + "'");
   }
-  return !shape->empty();
+  return value;
 }
 
-/// Serving-mode knobs of the CLI (see docs/SERVING.md).
-struct ServeCliOptions {
-  long tenants = 1;      ///< --tenants: synthetic tenants t0..t<N-1>
-  long quota = 4;        ///< --quota: per-tenant max in-flight frames
-  long shed_after = 64;  ///< --shed-after: per-tenant queue-depth cap
-  nup::serve::Policy policy = nup::serve::Policy::kAffinity;
-  std::vector<std::string> mix;  ///< --serve-mix: extra gallery kernels
-  long port = -1;                ///< --serve-port: -1 = no endpoint
-  long inflight = -1;            ///< --inflight (shared with pipeline)
-};
+double read_real(const std::string& flag, const std::string& text,
+                 double lo) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (!whole_token(text, end) || !std::isfinite(value) || value < lo) {
+    usage_error(flag + " wants a finite number" +
+                (lo == 0.0 ? " >= 0" : "") + ", got '" + text + "'");
+  }
+  return value;
+}
 
-/// Gallery kernels addressable from --serve-mix (default sizes).
-std::optional<nup::stencil::StencilProgram> gallery_kernel(
-    const std::string& name) {
-  using namespace nup::stencil;
-  if (name == "denoise_2d") return denoise_2d();
-  if (name == "rician_2d") return rician_2d();
-  if (name == "sobel_2d") return sobel_2d();
-  if (name == "bicubic_2d") return bicubic_2d();
-  if (name == "jacobi_2d") return jacobi_2d();
-  if (name == "blur_2d") return blur_2d();
-  if (name == "heat_3d") return heat_3d();
+template <typename T>
+std::optional<T> lookup(
+    std::string_view text,
+    std::initializer_list<std::pair<std::string_view, T>> table) {
+  for (const auto& [key, value] : table) {
+    if (key == text) return value;
+  }
   return std::nullopt;
 }
 
-int serve_frames(const nup::core::AcceleratorPackage& pkg,
-                 const nup::core::CompileOptions& compile_options,
-                 long frames, std::size_t threads,
-                 nup::poly::IntVec tile_shape, nup::runtime::NumaMode numa,
-                 long cancel_frame, const ServeCliOptions& cli, bool quiet) {
-  using namespace nup;
-  serve::ServeOptions options;
-  options.engine.threads = threads;
-  options.engine.tile_shape = std::move(tile_shape);
-  options.engine.build = compile_options.build;
-  options.engine.numa = numa;
-  if (cli.inflight >= 0) {
-    options.max_frames_in_flight = static_cast<std::size_t>(cli.inflight);
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> fields;
+  std::istringstream in(text);
+  std::string field;
+  while (std::getline(in, field, ',')) fields.push_back(field);
+  return fields;
+}
+
+/// Everything the command line says, filled once by parse_args. Optional
+/// fields are unset when their flag is absent, so the library default
+/// applies (or, for the ports, no endpoint opens).
+struct Cli {
+  std::string input;     ///< positional kernel file
+  std::string pipeline;  ///< --pipeline spec file
+  std::string out_dir = ".";
+  std::string name;
+  core::CompileOptions compile;
+  bool cpp_model = false;
+
+  long frames = 0;  ///< --serve / --frames; 0 = compile only
+  std::size_t threads = 0;
+  poly::IntVec tile;
+  runtime::NumaMode numa = runtime::NumaMode::kOff;
+  std::optional<std::size_t> inflight;
+  bool barrier = false;
+
+  bool temporal = false;  ///< --timesteps, --block or --boundary given
+  temporal::TemporalConfig sweep;
+  double tolerance = 0.0;
+
+  long tenants = 1;
+  std::size_t quota = 4;
+  std::size_t shed_after = 64;
+  serve::Policy policy = serve::Policy::kAffinity;
+  std::vector<stencil::StencilProgram> mix;
+  std::optional<int> serve_port;
+  std::optional<long> cancel_frame;
+
+  std::string metrics_path;
+  std::optional<int> metrics_port;
+  long hold_ms = 0;
+  std::string postmortem_dir;
+  std::string trace_path;
+  bool stats = false;
+  bool quiet = false;
+};
+
+Cli parse_args(int argc, char** argv) {
+  Cli cli;
+  std::set<std::string> given;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    std::string text;  // the flag's value, once value() consumed it
+    const auto value = [&]() -> const std::string& {
+      if (i + 1 == argc) usage_error(arg + " needs a value");
+      return text = argv[++i];
+    };
+    const auto integer = [&](long lo, long hi) {
+      return read_integer(arg, value(), lo, hi);
+    };
+    const auto choice = [&](const auto& parsed, const char* choices) {
+      if (!parsed) {
+        usage_error(arg + " wants " + choices + ", got '" + text + "'");
+      }
+      return *parsed;
+    };
+    given.insert(arg);
+    if (arg == "-h" || arg == "--help") {
+      usage();
+      std::exit(0);
+    } else if (arg == "-o") {
+      cli.out_dir = value();
+    } else if (arg == "--name") {
+      cli.name = value();
+    } else if (arg == "--exact") {
+      cli.compile.build.exact_sizing = true;
+      cli.compile.build.exact_streaming = true;
+    } else if (arg == "--width") {
+      cli.compile.build.datapath_width = integer(1, arch::kMaxDatapathWidth);
+    } else if (arg == "--no-verify") {
+      cli.compile.verify_by_simulation = false;
+    } else if (arg == "--vcd") {
+      cli.compile.sim.trace_cycles = integer(0, kMaxLong);
+    } else if (arg == "--sim-backend") {
+      cli.compile.sim.backend =
+          choice(lookup<sim::SimBackend>(
+                     value(), {{"reference", sim::SimBackend::kReference},
+                               {"fast", sim::SimBackend::kFast}}),
+                 "reference or fast");
+    } else if (arg == "--cpp-model") {
+      cli.cpp_model = true;
+    } else if (arg == "--rtl-check") {
+      cli.compile.verify_rtl = true;
+    } else if (arg == "--serve" || arg == "--frames") {
+      cli.frames = integer(1, kMaxFrames);
+    } else if (arg == "--threads") {
+      cli.threads = integer(0, kMaxThreads);
+    } else if (arg == "--tile") {
+      cli.tile.clear();
+      for (const std::string& field : split_list(value())) {
+        cli.tile.push_back(read_integer(arg, field, 0, kMaxLong));
+      }
+      if (cli.tile.empty()) usage_error(arg + " needs at least one extent");
+    } else if (arg == "--numa") {
+      cli.numa = choice(runtime::numa_mode_from_string(value()),
+                        "auto, off or interleave");
+    } else if (arg == "--inflight") {
+      cli.inflight = integer(0, kMaxFrames);
+    } else if (arg == "--tenants") {
+      cli.tenants = integer(1, serve::StencilServer::kMaxJoinedTenants);
+    } else if (arg == "--quota") {
+      cli.quota = integer(1, kMaxFrames);
+    } else if (arg == "--shed-after") {
+      cli.shed_after = integer(1, kMaxFrames);
+    } else if (arg == "--serve-policy") {
+      cli.policy = choice(
+          lookup<serve::Policy>(value(),
+                                {{"affinity", serve::Policy::kAffinity},
+                                 {"rr", serve::Policy::kRoundRobin},
+                                 {"round-robin", serve::Policy::kRoundRobin}}),
+          "affinity or rr");
+    } else if (arg == "--serve-mix") {
+      for (const std::string& kernel : split_list(value())) {
+        if (kernel.empty()) continue;
+        const auto program = lookup<stencil::StencilProgram (*)()>(
+            kernel, {{"denoise_2d", [] { return stencil::denoise_2d(); }},
+                     {"rician_2d", [] { return stencil::rician_2d(); }},
+                     {"sobel_2d", [] { return stencil::sobel_2d(); }},
+                     {"bicubic_2d", [] { return stencil::bicubic_2d(); }},
+                     {"jacobi_2d", [] { return stencil::jacobi_2d(); }},
+                     {"blur_2d", [] { return stencil::blur_2d(); }},
+                     {"heat_3d", [] { return stencil::heat_3d(); }}});
+        if (!program) usage_error(arg + ": unknown kernel '" + kernel + "'");
+        cli.mix.push_back((*program)());
+      }
+    } else if (arg == "--serve-port") {
+      cli.serve_port = integer(0, kMaxPort);
+    } else if (arg == "--cancel-frame") {
+      cli.cancel_frame = integer(0, kMaxFrames - 1);
+    } else if (arg == "--pipeline") {
+      cli.pipeline = value();
+    } else if (arg == "--barrier") {
+      cli.barrier = true;
+    } else if (arg == "--timesteps") {
+      cli.sweep.timesteps = integer(1, kMaxTimesteps);
+      cli.temporal = true;
+    } else if (arg == "--block") {
+      cli.sweep.block = integer(1, kMaxBlock);
+      cli.temporal = true;
+    } else if (arg == "--boundary") {
+      cli.sweep.boundary = choice(stencil::boundary_from_string(value()),
+                                  "shrink, clamp, wrap or constant");
+      cli.temporal = true;
+    } else if (arg == "--bc-value") {
+      cli.sweep.constant_value =
+          read_real(arg, value(), std::numeric_limits<double>::lowest());
+    } else if (arg == "--tolerance") {
+      cli.tolerance = read_real(arg, value(), 0.0);
+    } else if (arg == "--metrics") {
+      cli.metrics_path = value();
+    } else if (arg == "--metrics-port") {
+      cli.metrics_port = integer(0, kMaxPort);
+    } else if (arg == "--hold") {
+      cli.hold_ms = integer(0, kMaxHoldMs);
+    } else if (arg == "--postmortem") {
+      cli.postmortem_dir = value();
+    } else if (arg == "--trace") {
+      cli.trace_path = value();
+    } else if (arg == "--stats") {
+      cli.stats = true;
+    } else if (arg == "--quiet") {
+      cli.quiet = true;
+    } else if (!arg.empty() && arg[0] == '-') {
+      usage_error("unknown option " + arg);
+    } else if (cli.input.empty()) {
+      cli.input = arg;
+    } else {
+      usage_error("one kernel file only, got '" + cli.input + "' and '" +
+                  arg + "'");
+    }
   }
-  options.default_quota.max_in_flight = static_cast<std::size_t>(cli.quota);
-  options.default_quota.max_queued =
-      static_cast<std::size_t>(cli.shed_after);
+
+  const auto require = [](bool ok, const std::string& message) {
+    if (!ok) usage_error(message);
+  };
+  require(cli.input.empty() != cli.pipeline.empty(),
+          cli.input.empty() ? "no kernel file given"
+                            : "--pipeline reads its stages from the spec "
+                              "file; drop the positional kernel");
+  require(!cli.temporal || cli.pipeline.empty(),
+          "--timesteps/--block unroll a single kernel in time; they do not "
+          "combine with --pipeline");
+  require(!cli.temporal || cli.inflight != 0u,
+          "--inflight needs a window >= 1 with --timesteps");
+  // A flag whose mode is not selected would be silently ignored.
+  const bool serving = cli.frames > 0 && cli.pipeline.empty() && !cli.temporal;
+  const auto only = [&](std::initializer_list<const char*> flags,
+                        bool selected, const char* mode) {
+    for (const char* flag : flags) {
+      require(selected || given.count(flag) == 0,
+              std::string(flag) + " only applies " + mode);
+    }
+  };
+  only({"--barrier"}, !cli.pipeline.empty(), "with --pipeline");
+  only({"--tenants", "--quota", "--shed-after", "--serve-policy",
+        "--serve-mix", "--serve-port", "--cancel-frame"},
+       serving, "to single-kernel --serve");
+  only({"--tolerance"}, cli.temporal, "with --timesteps");
+  only({"--bc-value"},
+       cli.sweep.boundary == stencil::BoundaryPolicy::kConstant,
+       "with --boundary constant");
+  require(!cli.cancel_frame || *cli.cancel_frame < cli.frames,
+          "--cancel-frame needs a frame index below the frame count " +
+              std::to_string(cli.frames));
+  if (cli.name.empty()) {
+    cli.name = std::filesystem::path(cli.pipeline.empty() ? cli.input
+                                                          : cli.pipeline)
+                   .stem()
+                   .string();
+  }
+  return cli;
+}
+
+std::string read_source(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw Error("cannot read " + path);
+  std::ostringstream source;
+  source << in.rdbuf();
+  return source.str();
+}
+
+bool write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "stencilcc: cannot write %s\n", path.c_str());
+    return false;
+  }
+  out << text;
+  return true;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+int serve_frames(const core::AcceleratorPackage& pkg, const Cli& cli) {
+  serve::ServeOptions options;
+  options.engine.threads = cli.threads;
+  options.engine.tile_shape = cli.tile;
+  options.engine.build = cli.compile.build;
+  options.engine.numa = cli.numa;
+  if (cli.inflight) options.max_frames_in_flight = *cli.inflight;
+  options.default_quota.max_in_flight = cli.quota;
+  options.default_quota.max_queued = cli.shed_after;
   // The CLI bounds backlog per tenant (--shed-after); no global cap, so
   // `--serve N` with one tenant and a large N sheds only past that knob.
   options.global_queue_limit = 0;
@@ -319,23 +492,16 @@ int serve_frames(const nup::core::AcceleratorPackage& pkg,
   serve::StencilServer server(options);
   server.add_kernel(pkg.program);
   std::vector<std::string> kernels{pkg.program.name()};
-  for (const std::string& mix_name : cli.mix) {
-    const std::optional<stencil::StencilProgram> program =
-        gallery_kernel(mix_name);
-    if (!program) {
-      std::fprintf(stderr, "stencilcc: --serve-mix: unknown kernel '%s'\n",
-                   mix_name.c_str());
-      return 2;
-    }
-    server.add_kernel(*program);
-    kernels.push_back(program->name());
+  for (const stencil::StencilProgram& program : cli.mix) {
+    server.add_kernel(program);
+    kernels.push_back(program.name());
   }
   const auto plan = server.engine().plan_for(pkg.program);
 
   std::unique_ptr<serve::ServeEndpoint> endpoint;
-  if (cli.port >= 0) {
+  if (cli.serve_port) {
     serve::ServeEndpointOptions ep;
-    ep.port = static_cast<int>(cli.port);
+    ep.port = *cli.serve_port;
     endpoint = std::make_unique<serve::ServeEndpoint>(server, ep);
     if (!endpoint->ok()) {
       std::fprintf(stderr, "stencilcc: --serve-port: %s\n",
@@ -355,25 +521,22 @@ int serve_frames(const nup::core::AcceleratorPackage& pkg,
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<serve::RequestHandle> handles(
-      static_cast<std::size_t>(frames));
+      static_cast<std::size_t>(cli.frames));
   long shed = 0;
-  for (long f = 0; f < frames; ++f) {
-    serve::ServeClient& client =
-        clients[static_cast<std::size_t>(f % cli.tenants)];
-    const std::string& kernel =
-        kernels[static_cast<std::size_t>(f) % kernels.size()];
+  for (long f = 0; f < cli.frames; ++f) {
+    const std::size_t at = static_cast<std::size_t>(f);
     const serve::SubmitResult r =
-        client.submit(kernel, static_cast<std::uint64_t>(f));
+        clients[at % clients.size()].submit(kernels[at % kernels.size()],
+                                            static_cast<std::uint64_t>(f));
     if (!r.admitted()) {
       ++shed;
-      if (!quiet) {
-        std::printf("frame %ld shed (%s)\n", f,
-                    serve::to_string(r.reason));
+      if (!cli.quiet) {
+        std::printf("frame %ld shed (%s)\n", f, serve::to_string(r.reason));
       }
       continue;
     }
-    handles[static_cast<std::size_t>(f)] = r.handle;
-    if (f == cancel_frame) {
+    handles[at] = r.handle;
+    if (f == cli.cancel_frame) {
       // Cancel a *running* frame, not a queued one: wait until the
       // request reached the engine so the cancellation exercises the
       // mid-flight path (and its post-mortem), as it always has.
@@ -383,14 +546,12 @@ int serve_frames(const nup::core::AcceleratorPackage& pkg,
     }
   }
   int rc = 0;
-  for (long f = 0; f < frames; ++f) {
+  for (long f = 0; f < cli.frames; ++f) {
     serve::RequestHandle& h = handles[static_cast<std::size_t>(f)];
     if (!h.valid()) continue;
     const runtime::FrameResult& result = h.wait();
-    if (f == cancel_frame && result.cancelled) {
-      if (!quiet) {
-        std::printf("frame %ld cancelled as requested\n", cancel_frame);
-      }
+    if (f == cli.cancel_frame && result.cancelled) {
+      if (!cli.quiet) std::printf("frame %ld cancelled as requested\n", f);
       continue;
     }
     if (!result.ok()) {
@@ -400,19 +561,17 @@ int serve_frames(const nup::core::AcceleratorPackage& pkg,
       rc = 1;
     }
   }
-  const auto seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const double seconds = seconds_since(t0);
 
   const serve::ServeStats sstats = server.stats();
   const runtime::EngineStats estats = server.engine().stats();
   server.shutdown();  // drop the design pins before any final scrape
   if (endpoint) endpoint->stop();
-  if (!quiet) {
+  if (!cli.quiet) {
     std::printf(
         "served %ld frames in %.3fs (%.2f frames/s), %zu tiles per "
         "frame, %ld tenants\n",
-        frames - shed, seconds, (frames - shed) / seconds,
+        cli.frames - shed, seconds, (cli.frames - shed) / seconds,
         plan->tiles.size(), cli.tenants);
     std::printf(
         "serve: %lld groups, %lld design switches, %lld shed (policy "
@@ -430,15 +589,18 @@ int serve_frames(const nup::core::AcceleratorPackage& pkg,
   return rc;
 }
 
-// Splits a pipeline spec into its stage kernels: sections separated by
-// lines whose first non-blank characters are `---`.
-std::vector<std::string> split_stage_sources(std::istream& in) {
-  std::vector<std::string> sections;
+// Parses a pipeline spec into its stage kernels <name>_s<k>: mini-C
+// sections separated by lines whose first non-blank characters are `---`.
+std::vector<stencil::StencilProgram> parse_stages(const std::string& spec,
+                                                  const std::string& name) {
+  std::vector<stencil::StencilProgram> stages;
+  std::istringstream in(spec);
   std::string line;
   std::string current;
-  auto flush = [&] {
+  const auto flush = [&] {
     if (current.find_first_not_of(" \t\r\n") != std::string::npos) {
-      sections.push_back(current);
+      stages.push_back(frontend::parse_stencil(
+          current, name + "_s" + std::to_string(stages.size())));
     }
     current.clear();
   };
@@ -452,59 +614,40 @@ std::vector<std::string> split_stage_sources(std::istream& in) {
     }
   }
   flush();
-  return sections;
+  return stages;
 }
 
-int run_pipeline(const std::string& spec_path, const std::string& name,
-                 const nup::core::CompileOptions& compile_options,
-                 long frames, long inflight, std::size_t threads,
-                 nup::poly::IntVec tile_shape,
-                 nup::runtime::NumaMode numa, bool barrier, bool quiet) {
-  using namespace nup;
-
-  std::ifstream in(spec_path);
-  if (!in) {
-    std::fprintf(stderr, "stencilcc: cannot read %s\n", spec_path.c_str());
-    return 1;
-  }
-  const std::vector<std::string> sources = split_stage_sources(in);
-  if (sources.empty()) {
+int run_pipeline(const std::string& spec, const Cli& cli) {
+  const std::vector<stencil::StencilProgram> stages =
+      parse_stages(spec, cli.name);
+  if (stages.empty()) {
     std::fprintf(stderr, "stencilcc: %s has no stage kernels\n",
-                 spec_path.c_str());
+                 cli.pipeline.c_str());
     return 1;
   }
-
-  std::vector<stencil::StencilProgram> stages;
-  stages.reserve(sources.size());
-  for (std::size_t s = 0; s < sources.size(); ++s) {
-    stages.push_back(
-        frontend::parse_stencil(sources[s], name + "_s" + std::to_string(s)));
-  }
-  pipeline::StageGraph graph = pipeline::StageGraph::chain(stages);
 
   pipeline::PipelineOptions options;
-  options.name = name;
-  options.threads_per_stage = threads;
-  options.tile_shape = std::move(tile_shape);
-  options.build = compile_options.build;
-  options.sim = compile_options.sim;
-  options.barrier = barrier;
-  options.numa = numa;
-  if (inflight >= 0) {
-    options.max_frames_in_flight = static_cast<std::size_t>(inflight);
-  }
-  pipeline::PipelineExecutor executor(std::move(graph), options);
+  options.name = cli.name;
+  options.threads_per_stage = cli.threads;
+  options.tile_shape = cli.tile;
+  options.build = cli.compile.build;
+  options.sim = cli.compile.sim;
+  options.barrier = cli.barrier;
+  options.numa = cli.numa;
+  if (cli.inflight) options.max_frames_in_flight = *cli.inflight;
+  pipeline::PipelineExecutor executor(pipeline::StageGraph::chain(stages),
+                                      options);
+  const pipeline::StageGraph& graph = executor.graph();
 
-  if (!quiet) {
+  if (!cli.quiet) {
     std::printf("pipeline %s: %zu stages, %zu edges (%s scheduling, "
                 "window %zu)\n",
-                name.c_str(), executor.graph().stage_count(),
-                executor.graph().edges().size(),
-                barrier ? "frame-barrier" : "tile-granular",
+                cli.name.c_str(), graph.stage_count(), graph.edges().size(),
+                cli.barrier ? "frame-barrier" : "tile-granular",
                 options.max_frames_in_flight);
   }
 
-  if (frames <= 0) frames = 1;
+  const long frames = std::max(cli.frames, 1L);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<pipeline::PipelineHandle> handles;
   handles.reserve(static_cast<std::size_t>(frames));
@@ -520,19 +663,16 @@ int run_pipeline(const std::string& spec_path, const std::string& name,
       return 1;
     }
   }
-  const auto seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const double seconds = seconds_since(t0);
 
-  if (!quiet) {
+  if (!cli.quiet) {
     const pipeline::PipelineResult& last = handles.back().wait();
     std::printf("served %ld pipelined frames in %.3fs (%.2f frames/s)\n",
                 frames, seconds, frames / seconds);
     for (std::size_t s = 0; s < last.stages.size(); ++s) {
-      const auto plan =
-          executor.engine().plan_for(executor.graph().stages()[s].program);
+      const auto plan = executor.engine().plan_for(graph.stages()[s].program);
       std::printf("  stage %s: %zu tiles, first/last tile %+lld/%+lld us%s\n",
-                  executor.graph().stages()[s].program.name().c_str(),
+                  graph.stages()[s].program.name().c_str(),
                   plan->tiles.size(),
                   static_cast<long long>(last.timing[s].first_tile_us),
                   static_cast<long long>(last.timing[s].last_tile_us),
@@ -544,8 +684,8 @@ int run_pipeline(const std::string& spec_path, const std::string& name,
     for (std::size_t e = 0; e < last.edges.size(); ++e) {
       std::printf("  edge %s: peak %zu tiles / %zu elements buffered, "
                   "%lld retired\n",
-                  executor.graph().edges()[e].label.c_str(),
-                  last.edges[e].max_tiles, last.edges[e].max_elements,
+                  graph.edges()[e].label.c_str(), last.edges[e].max_tiles,
+                  last.edges[e].max_elements,
                   static_cast<long long>(last.edges[e].retired));
     }
     std::printf("  frame total %lld us\n",
@@ -555,63 +695,40 @@ int run_pipeline(const std::string& spec_path, const std::string& name,
   return 0;
 }
 
-// Temporal mode: read one mini-C kernel as the update step of an
-// iterative solver and sweep `timesteps` generations per frame through
-// the replica-stage pipeline (docs/TEMPORAL.md).
-int run_temporal(const std::string& kernel_path, const std::string& name,
-                 const nup::core::CompileOptions& compile_options,
-                 const nup::temporal::TemporalConfig& config,
-                 double tolerance, long frames, long inflight,
-                 std::size_t threads, nup::poly::IntVec tile_shape,
-                 nup::runtime::NumaMode numa, bool quiet) {
-  using namespace nup;
-
-  std::ifstream in(kernel_path);
-  if (!in) {
-    std::fprintf(stderr, "stencilcc: cannot read %s\n", kernel_path.c_str());
-    return 1;
-  }
-  std::ostringstream source;
-  source << in.rdbuf();
-  const stencil::StencilProgram step =
-      frontend::parse_stencil(source.str(), name);
-
+// Temporal mode: the kernel is the update step of an iterative solver;
+// every frame sweeps cli.sweep.timesteps generations through the
+// replica-stage pipeline (docs/TEMPORAL.md).
+int run_temporal(const std::string& source, const Cli& cli) {
   temporal::RunnerOptions options;
-  options.pipeline.name = name;
-  options.pipeline.threads_per_stage = threads;
-  options.pipeline.tile_shape = std::move(tile_shape);
-  options.pipeline.build = compile_options.build;
-  options.pipeline.sim = compile_options.sim;
-  options.pipeline.numa = numa;
-  options.tolerance = tolerance;
-  if (inflight > 0) {
-    options.max_passes_in_flight = static_cast<std::size_t>(inflight);
-  }
-  temporal::TemporalRunner runner(step, config, options);
+  options.pipeline.name = cli.name;
+  options.pipeline.threads_per_stage = cli.threads;
+  options.pipeline.tile_shape = cli.tile;
+  options.pipeline.build = cli.compile.build;
+  options.pipeline.sim = cli.compile.sim;
+  options.pipeline.numa = cli.numa;
+  options.tolerance = cli.tolerance;
+  if (cli.inflight) options.max_passes_in_flight = *cli.inflight;
+  temporal::TemporalRunner runner(frontend::parse_stencil(source, cli.name),
+                                  cli.sweep, options);
+  const std::size_t shapes = runner.executor_count();
 
-  if (!quiet) {
+  if (!cli.quiet) {
     std::printf(
         "temporal %s: T=%lld generations, B=%lld replicas/pass, %lld "
         "passes/frame, %zu pass shape%s, %s boundary\n",
-        name.c_str(), static_cast<long long>(config.timesteps),
-        static_cast<long long>(config.block),
-        static_cast<long long>(runner.schedule().num_passes),
-        runner.executor_count(), runner.executor_count() == 1 ? "" : "s",
-        stencil::to_string(config.boundary));
+        cli.name.c_str(), static_cast<long long>(cli.sweep.timesteps),
+        static_cast<long long>(cli.sweep.block),
+        static_cast<long long>(runner.schedule().num_passes), shapes,
+        shapes == 1 ? "" : "s", stencil::to_string(cli.sweep.boundary));
   }
 
-  if (frames <= 0) frames = 1;
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(static_cast<std::size_t>(frames));
-  for (long f = 0; f < frames; ++f) {
-    seeds.push_back(static_cast<std::uint64_t>(f));
-  }
+  const long frames = std::max(cli.frames, 1L);
+  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(frames));
+  std::iota(seeds.begin(), seeds.end(), 0);
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<temporal::FrameOutcome> outcomes =
       runner.run_frames(seeds);
-  const auto seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const double seconds = seconds_since(t0);
 
   std::int64_t generations = 0;
   std::int64_t passes = 0;
@@ -628,63 +745,76 @@ int run_temporal(const std::string& kernel_path, const std::string& name,
     if (outcome.converged_early) ++converged;
   }
 
-  if (!quiet) {
+  if (!cli.quiet) {
     std::printf(
         "swept %ld frame%s in %.3fs: %lld generations (%.2f gen/s), "
         "%lld passes\n",
         frames, frames == 1 ? "" : "s", seconds,
         static_cast<long long>(generations), generations / seconds,
         static_cast<long long>(passes));
-    if (tolerance > 0.0) {
+    if (cli.tolerance > 0.0) {
       std::printf("  convergence: %ld/%ld frames exited early "
                   "(tolerance %g, last residual %g)\n",
-                  converged, frames, tolerance,
+                  converged, frames, cli.tolerance,
                   outcomes.back().last_residual);
     }
     std::printf("  %zu replica designs pinned across %zu executor%s\n",
-                runner.pinned_designs(), runner.executor_count(),
-                runner.executor_count() == 1 ? "" : "s");
+                runner.pinned_designs(), shapes, shapes == 1 ? "" : "s");
   }
   runner.shutdown();
   return 0;
 }
 
-std::string basename_no_ext(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::size_t start = slash == std::string::npos ? 0 : slash + 1;
-  const std::size_t dot = path.find_last_of('.');
-  const std::size_t end =
-      dot == std::string::npos || dot < start ? path.size() : dot;
-  return path.substr(start, end - start);
-}
+// Compile mode: write the artifacts, then serve --serve frames.
+int run_compile(const std::string& source, const Cli& cli) {
+  const core::AcceleratorPackage pkg =
+      core::compile_source(source, cli.name, cli.compile);
+  if (!cli.quiet) std::printf("%s", pkg.summary().c_str());
 
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "stencilcc: cannot write %s\n", path.c_str());
-    return false;
+  const std::string base = cli.out_dir + "/" + cli.name;
+  bool ok = write_file(base + "_memory_system.v", pkg.rtl) &&
+            write_file(base + "_tb.v", pkg.testbench) &&
+            write_file(base + "_kernel.cpp", pkg.kernel_code) &&
+            write_file(base + "_accel.hpp", pkg.integration_header) &&
+            write_file(base + "_report.json", core::to_json(pkg));
+  if (ok && cli.cpp_model) {
+    ok = write_file(base + "_model.cpp",
+                    codegen::emit_cpp_model(pkg.program, pkg.design));
   }
-  out << text;
-  return true;
+  if (ok && cli.compile.sim.trace_cycles > 0 &&
+      cli.compile.verify_by_simulation) {
+    ok = sim::write_vcd(base + ".vcd", pkg.verification, pkg.design,
+                        cli.name);
+  }
+  if (!cli.quiet && ok) {
+    std::printf("artifacts written to %s/%s_*.{v,cpp,hpp,json}\n",
+                cli.out_dir.c_str(), cli.name.c_str());
+  }
+  if (cli.compile.verify_by_simulation) {
+    // The one-shot verification run's telemetry (FIFO high-water marks,
+    // stall cycles, phase latencies) joins the registry next to
+    // whatever --serve adds.
+    runtime::publish_sim_telemetry(obs::Registry::global(), pkg.design,
+                                   pkg.verification);
+  }
+  if (!ok) return 1;
+  return cli.frames > 0 ? serve_frames(pkg, cli) : 0;
 }
 
-// The shared observability tail: --metrics / --trace / --stats read the
-// global registry and journal, which both the compile path and the
-// pipelined path feed. Returns nonzero when an export file cannot be
-// written.
-int emit_observability(const std::string& metrics_path,
-                       const std::string& trace_path, bool stats_table) {
-  const nup::obs::MetricsSnapshot snap =
-      nup::obs::Registry::global().snapshot();
+// The observability tail: --metrics / --trace / --stats read the global
+// registry and journal, which every mode feeds. Returns nonzero when an
+// export file cannot be written.
+int emit_observability(const Cli& cli) {
+  const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
   int rc = 0;
-  if (!metrics_path.empty() &&
-      !write_file(metrics_path, snap.to_json() + "\n")) {
+  if (!cli.metrics_path.empty() &&
+      !write_file(cli.metrics_path, snap.to_json() + "\n")) {
     rc = 1;
   }
-  if (!trace_path.empty()) {
-    nup::obs::TraceTotals totals;
-    if (!write_file(trace_path,
-                    nup::obs::Journal::global().chrome_trace(&totals))) {
+  if (!cli.trace_path.empty()) {
+    obs::TraceTotals totals;
+    if (!write_file(cli.trace_path,
+                    obs::Journal::global().chrome_trace(&totals))) {
       rc = 1;
     }
     if (totals.rendered < totals.recorded || totals.dropped > 0) {
@@ -696,396 +826,50 @@ int emit_observability(const std::string& metrics_path,
                    static_cast<unsigned long long>(totals.dropped));
     }
   }
-  if (stats_table) std::printf("%s", snap.to_table().c_str());
+  if (cli.stats) std::printf("%s", snap.to_table().c_str());
   return rc;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace nup;
-
-  std::string input;
-  std::string out_dir = ".";
-  std::string name;
-  bool quiet = false;
-  bool cpp_model = false;
-  long vcd_cycles = 0;
-  long serve = 0;
-  std::size_t serve_threads = 0;
-  poly::IntVec serve_tile;
-  runtime::NumaMode numa_mode = runtime::NumaMode::kOff;
-  std::string pipeline_spec;
-  bool pipeline_barrier = false;
-  long pipeline_frames = 0;
-  long pipeline_inflight = -1;  // -1 keeps the executor default
-  temporal::TemporalConfig temporal_config;
-  bool temporal_mode = false;
-  double temporal_tolerance = 0.0;
-  std::string metrics_path;
-  std::string trace_path;
-  long metrics_port = -1;  // -1 = no server
-  long hold_ms = 0;
-  std::string postmortem_dir;
-  long cancel_frame = -1;
-  bool stats_table = false;
-  ServeCliOptions serve_cli;
-  core::CompileOptions options;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-o" && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else if (arg == "--name" && i + 1 < argc) {
-      name = argv[++i];
-    } else if (arg == "--exact") {
-      options.build.exact_sizing = true;
-      options.build.exact_streaming = true;
-    } else if (arg == "--width" && i + 1 < argc) {
-      options.build.datapath_width = std::strtol(argv[++i], nullptr, 10);
-      if (options.build.datapath_width < 1 ||
-          options.build.datapath_width > arch::kMaxDatapathWidth) {
-        std::fprintf(stderr,
-                     "stencilcc: --width needs a datapath width in [1, %d]\n",
-                     static_cast<int>(arch::kMaxDatapathWidth));
-        usage();
-        return 2;
-      }
-    } else if (arg == "--no-verify") {
-      options.verify_by_simulation = false;
-    } else if (arg == "--vcd" && i + 1 < argc) {
-      vcd_cycles = std::strtol(argv[++i], nullptr, 10);
-    } else if (arg == "--sim-backend" && i + 1 < argc) {
-      const std::string backend = argv[++i];
-      if (backend == "reference") {
-        options.sim.backend = sim::SimBackend::kReference;
-      } else if (backend == "fast") {
-        options.sim.backend = sim::SimBackend::kFast;
-      } else {
-        std::fprintf(stderr, "stencilcc: unknown simulator backend '%s'\n",
-                     backend.c_str());
-        usage();
-        return 2;
-      }
-    } else if (arg == "--cpp-model") {
-      cpp_model = true;
-    } else if (arg == "--rtl-check") {
-      options.verify_rtl = true;
-    } else if (arg == "--serve" && i + 1 < argc) {
-      serve = std::strtol(argv[++i], nullptr, 10);
-      if (serve <= 0) {
-        std::fprintf(stderr, "stencilcc: --serve needs a frame count\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--threads" && i + 1 < argc) {
-      serve_threads =
-          static_cast<std::size_t>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg == "--tenants" && i + 1 < argc) {
-      serve_cli.tenants = std::strtol(argv[++i], nullptr, 10);
-      if (serve_cli.tenants < 1) {
-        std::fprintf(stderr, "stencilcc: --tenants needs a count >= 1\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--quota" && i + 1 < argc) {
-      serve_cli.quota = std::strtol(argv[++i], nullptr, 10);
-      if (serve_cli.quota < 1) {
-        std::fprintf(stderr,
-                     "stencilcc: --quota needs an in-flight bound >= 1\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--shed-after" && i + 1 < argc) {
-      serve_cli.shed_after = std::strtol(argv[++i], nullptr, 10);
-      if (serve_cli.shed_after < 1) {
-        std::fprintf(stderr,
-                     "stencilcc: --shed-after needs a queue depth >= 1\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--serve-policy" && i + 1 < argc) {
-      const std::string policy = argv[++i];
-      if (policy == "affinity") {
-        serve_cli.policy = serve::Policy::kAffinity;
-      } else if (policy == "rr" || policy == "round-robin") {
-        serve_cli.policy = serve::Policy::kRoundRobin;
-      } else {
-        std::fprintf(stderr,
-                     "stencilcc: --serve-policy wants affinity or rr\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--serve-mix" && i + 1 < argc) {
-      std::istringstream mix_in(argv[++i]);
-      std::string mix_name;
-      while (std::getline(mix_in, mix_name, ',')) {
-        if (!mix_name.empty()) serve_cli.mix.push_back(mix_name);
-      }
-    } else if (arg == "--serve-port" && i + 1 < argc) {
-      char* end = nullptr;
-      serve_cli.port = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || serve_cli.port < 0 ||
-          serve_cli.port > 65535) {
-        std::fprintf(stderr,
-                     "stencilcc: --serve-port needs a port in [0, 65535] "
-                     "(0 = ephemeral)\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--tile" && i + 1 < argc) {
-      if (!parse_tile_shape(argv[++i], &serve_tile)) {
-        std::fprintf(stderr, "stencilcc: bad --tile shape '%s'\n",
-                     argv[i]);
-        usage();
-        return 2;
-      }
-    } else if (arg == "--numa" && i + 1 < argc) {
-      const std::optional<runtime::NumaMode> mode =
-          runtime::numa_mode_from_string(argv[++i]);
-      if (!mode) {
-        std::fprintf(stderr,
-                     "stencilcc: --numa wants auto, off or interleave\n");
-        usage();
-        return 2;
-      }
-      numa_mode = *mode;
-    } else if (arg == "--pipeline" && i + 1 < argc) {
-      pipeline_spec = argv[++i];
-    } else if (arg == "--barrier") {
-      pipeline_barrier = true;
-    } else if (arg == "--frames" && i + 1 < argc) {
-      pipeline_frames = std::strtol(argv[++i], nullptr, 10);
-      if (pipeline_frames <= 0) {
-        std::fprintf(stderr, "stencilcc: --frames needs a frame count\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--inflight" && i + 1 < argc) {
-      char* end = nullptr;
-      pipeline_inflight = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || pipeline_inflight < 0) {
-        std::fprintf(stderr,
-                     "stencilcc: --inflight needs a window size >= 0\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--timesteps" && i + 1 < argc) {
-      temporal_config.timesteps = std::strtol(argv[++i], nullptr, 10);
-      temporal_mode = true;
-      if (temporal_config.timesteps < 1) {
-        std::fprintf(stderr,
-                     "stencilcc: --timesteps needs a generation count "
-                     ">= 1\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--block" && i + 1 < argc) {
-      temporal_config.block = std::strtol(argv[++i], nullptr, 10);
-      temporal_mode = true;
-      if (temporal_config.block < 1) {
-        std::fprintf(stderr,
-                     "stencilcc: --block needs a blocking factor >= 1\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--boundary" && i + 1 < argc) {
-      const std::optional<stencil::BoundaryPolicy> policy =
-          stencil::boundary_from_string(argv[++i]);
-      if (!policy) {
-        std::fprintf(stderr,
-                     "stencilcc: unknown boundary policy '%s' (want "
-                     "shrink, clamp, wrap or constant)\n",
-                     argv[i]);
-        usage();
-        return 2;
-      }
-      temporal_config.boundary = *policy;
-      temporal_mode = true;
-    } else if (arg == "--bc-value" && i + 1 < argc) {
-      temporal_config.constant_value = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--tolerance" && i + 1 < argc) {
-      temporal_tolerance = std::strtod(argv[++i], nullptr);
-      if (temporal_tolerance < 0.0) {
-        std::fprintf(stderr,
-                     "stencilcc: --tolerance needs a residual >= 0\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (arg == "--metrics-port" && i + 1 < argc) {
-      char* end = nullptr;
-      metrics_port = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || metrics_port < 0 ||
-          metrics_port > 65535) {
-        std::fprintf(stderr,
-                     "stencilcc: --metrics-port needs a port in [0, 65535] "
-                     "(0 = ephemeral)\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--hold" && i + 1 < argc) {
-      hold_ms = std::strtol(argv[++i], nullptr, 10);
-      if (hold_ms < 0) hold_ms = 0;
-    } else if (arg == "--postmortem" && i + 1 < argc) {
-      postmortem_dir = argv[++i];
-    } else if (arg == "--cancel-frame" && i + 1 < argc) {
-      char* end = nullptr;
-      cancel_frame = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || cancel_frame < 0) {
-        std::fprintf(stderr,
-                     "stencilcc: --cancel-frame needs a frame index >= 0\n");
-        usage();
-        return 2;
-      }
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg == "--stats") {
-      stats_table = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "-h" || arg == "--help") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "stencilcc: unknown option %s\n", arg.c_str());
-      usage();
-      return 2;
-    } else if (input.empty()) {
-      input = arg;
-    } else {
-      usage();
-      return 2;
-    }
+  const Cli cli = parse_args(argc, argv);
+  obs::Journal::global().set_thread_name("stencilcc");
+  if (!cli.postmortem_dir.empty()) {
+    obs::Journal::global().set_postmortem_dir(cli.postmortem_dir);
   }
-  if (input.empty() && pipeline_spec.empty()) {
-    usage();
-    return 2;
-  }
-  if (!pipeline_spec.empty() && !input.empty()) {
-    std::fprintf(stderr,
-                 "stencilcc: --pipeline reads its stages from the spec "
-                 "file; drop the positional kernel\n");
-    usage();
-    return 2;
-  }
-  if (temporal_mode && !pipeline_spec.empty()) {
-    std::fprintf(stderr,
-                 "stencilcc: --timesteps/--block unroll a single kernel "
-                 "in time; they do not combine with --pipeline\n");
-    usage();
-    return 2;
-  }
-  if (name.empty()) {
-    name = basename_no_ext(pipeline_spec.empty() ? input : pipeline_spec);
-  }
-  if (vcd_cycles > 0) options.sim.trace_cycles = vcd_cycles;
-  if (!postmortem_dir.empty()) {
-    obs::Journal::global().set_postmortem_dir(postmortem_dir);
-  }
-  std::unique_ptr<obs::MetricsServer> server;
-  if (metrics_port >= 0) {
+  std::unique_ptr<obs::MetricsServer> metrics_server;
+  if (cli.metrics_port) {
     obs::MetricsServerOptions server_options;
-    server_options.port = static_cast<int>(metrics_port);
+    server_options.port = *cli.metrics_port;
     server_options.sample_period_ms = 200;
-    server = std::make_unique<obs::MetricsServer>(server_options);
-    if (!server->ok()) {
+    metrics_server = std::make_unique<obs::MetricsServer>(server_options);
+    if (!metrics_server->ok()) {
       std::fprintf(stderr, "stencilcc: --metrics-port: %s\n",
-                   server->error().c_str());
+                   metrics_server->error().c_str());
       return 1;
     }
     std::printf("metrics: serving http://127.0.0.1:%d/metrics\n",
-                server->port());
+                metrics_server->port());
     std::fflush(stdout);
   }
-  // Shared exit path: export files first, then linger (--hold) so a
-  // scraper can still reach --metrics-port while the registry is final.
-  const auto finish = [&](int rc) {
-    const int obs_rc =
-        emit_observability(metrics_path, trace_path, stats_table);
-    if (hold_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(hold_ms));
-    }
-    return rc != 0 ? rc : obs_rc;
-  };
 
-  if (temporal_mode) {
-    try {
-      int rc = run_temporal(input, name, options, temporal_config,
-                            temporal_tolerance,
-                            pipeline_frames > 0 ? pipeline_frames : serve,
-                            pipeline_inflight, serve_threads,
-                            std::move(serve_tile), numa_mode, quiet);
-      return finish(rc);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "stencilcc: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  if (!pipeline_spec.empty()) {
-    try {
-      int rc = run_pipeline(pipeline_spec, name, options,
-                            pipeline_frames > 0 ? pipeline_frames : serve,
-                            pipeline_inflight, serve_threads,
-                            std::move(serve_tile), numa_mode,
-                            pipeline_barrier, quiet);
-      return finish(rc);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "stencilcc: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  std::ifstream in(input);
-  if (!in) {
-    std::fprintf(stderr, "stencilcc: cannot read %s\n", input.c_str());
-    return 1;
-  }
-  std::ostringstream source;
-  source << in.rdbuf();
-
+  int rc = 0;
   try {
-    const core::AcceleratorPackage pkg =
-        core::compile_source(source.str(), name, options);
-    if (!quiet) std::printf("%s", pkg.summary().c_str());
-
-    const std::string base = out_dir + "/" + name;
-    bool ok = write_file(base + "_memory_system.v", pkg.rtl) &&
-              write_file(base + "_tb.v", pkg.testbench) &&
-              write_file(base + "_kernel.cpp", pkg.kernel_code) &&
-              write_file(base + "_accel.hpp", pkg.integration_header) &&
-              write_file(base + "_report.json", core::to_json(pkg));
-    if (ok && cpp_model) {
-      ok = write_file(base + "_model.cpp",
-                      codegen::emit_cpp_model(pkg.program, pkg.design));
-    }
-    if (ok && vcd_cycles > 0 && options.verify_by_simulation) {
-      ok = sim::write_vcd(base + ".vcd", pkg.verification, pkg.design,
-                          name);
-    }
-    if (!quiet && ok) {
-      std::printf("artifacts written to %s/%s_*.{v,cpp,hpp,json}\n",
-                  out_dir.c_str(), name.c_str());
-    }
-    if (options.verify_by_simulation) {
-      // The one-shot verification run's telemetry (FIFO high-water marks,
-      // stall cycles, phase latencies) joins the registry next to
-      // whatever --serve adds.
-      runtime::publish_sim_telemetry(obs::Registry::global(), pkg.design,
-                                     pkg.verification);
-    }
-    int rc = ok ? 0 : 1;
-    if (ok && serve > 0) {
-      serve_cli.inflight = pipeline_inflight;
-      rc = serve_frames(pkg, options, serve, serve_threads,
-                        std::move(serve_tile), numa_mode, cancel_frame,
-                        serve_cli, quiet);
-    }
-    return finish(rc);
+    const std::string source =
+        read_source(cli.pipeline.empty() ? cli.input : cli.pipeline);
+    rc = cli.temporal            ? run_temporal(source, cli)
+         : !cli.pipeline.empty() ? run_pipeline(source, cli)
+                                 : run_compile(source, cli);
   } catch (const Error& e) {
     std::fprintf(stderr, "stencilcc: %s\n", e.what());
     return 1;
   }
+  // Export files first, then linger (--hold) so a scraper can still reach
+  // --metrics-port while the registry is final.
+  const int obs_rc = emit_observability(cli);
+  if (cli.hold_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(cli.hold_ms));
+  }
+  return rc != 0 ? rc : obs_rc;
 }
