@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/row_program.hpp"
 #include "util/error.hpp"
 
 namespace nup::pipeline {
@@ -64,6 +65,66 @@ EdgeTileMap map_tile_dependencies(const runtime::TilePlan& producer_plan,
     }
   }
   return map;
+}
+
+EdgeStitchPlan plan_edge_stitch(const runtime::TilePlan& producer_plan,
+                                const runtime::TilePlan& consumer_plan,
+                                const EdgeTileMap& map,
+                                std::size_t input_index,
+                                const poly::IntVec& expand_lo,
+                                const poly::IntVec& expand_hi) {
+  // Each producer tile's rows in lex (= slab) order, compiled once however
+  // many consumer tiles it covers.
+  std::vector<sim::RowProgram> producer_rows;
+  producer_rows.reserve(producer_plan.tiles.size());
+  for (const runtime::Tile& tile : producer_plan.tiles) {
+    producer_rows.push_back(
+        sim::RowProgram::compile(tile.program->iteration()));
+  }
+
+  EdgeStitchPlan plan;
+  plan.slices.resize(consumer_plan.tiles.size());
+  for (std::size_t c = 0; c < consumer_plan.tiles.size(); ++c) {
+    EdgeStitchPlan::SliceRuns& slice = plan.slices[c];
+    if (!consumer_plan.tiles[c].input_hulls[input_index].as_single_box(
+            &slice.lo, &slice.hi)) {
+      throw Error("plan_edge_stitch: consumer hull is not a box");
+    }
+    for (std::size_t d = 0; d < expand_lo.size(); ++d) {
+      slice.lo[d] = std::min(slice.lo[d], expand_lo[d]);
+      slice.hi[d] = std::max(slice.hi[d], expand_hi[d]);
+    }
+    const std::size_t inner = slice.lo.size() - 1;
+    std::vector<std::int64_t> strides(slice.lo.size(), 1);
+    for (std::size_t d = inner; d-- > 0;) {
+      strides[d] = strides[d + 1] * (slice.hi[d + 1] - slice.lo[d + 1] + 1);
+    }
+    slice.elements = strides[0] * (slice.hi[0] - slice.lo[0] + 1);
+
+    for (const std::size_t p : map.producers_of[c]) {
+      std::int64_t slab_offset = 0;
+      for (const sim::RowProgram::Row& row : producer_rows[p].rows) {
+        bool outer_in_box = true;
+        std::int64_t row_base = 0;
+        for (std::size_t d = 0; d < inner; ++d) {
+          outer_in_box = outer_in_box && row.prefix[d] >= slice.lo[d] &&
+                         row.prefix[d] <= slice.hi[d];
+          row_base += (row.prefix[d] - slice.lo[d]) * strides[d];
+        }
+        for (const poly::Interval& iv : row.intervals) {
+          const std::int64_t first = std::max(iv.lo, slice.lo[inner]);
+          const std::int64_t last = std::min(iv.hi, slice.hi[inner]);
+          if (outer_in_box && first <= last) {
+            slice.runs.push_back({p, slab_offset + (first - iv.lo),
+                                  row_base + (first - slice.lo[inner]),
+                                  last - first + 1});
+          }
+          slab_offset += iv.size();
+        }
+      }
+    }
+  }
+  return plan;
 }
 
 DependencyTracker::DependencyTracker(

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "pipeline/stage_graph.hpp"
+#include "poly/int_vec.hpp"
 #include "runtime/tiler.hpp"
 
 namespace nup::pipeline {
@@ -36,6 +37,45 @@ struct EdgeTileMap {
 EdgeTileMap map_tile_dependencies(const runtime::TilePlan& producer_plan,
                                   const runtime::TilePlan& consumer_plan,
                                   std::size_t input_index);
+
+/// How one edge assembles each consumer tile's input slice from the
+/// covering producer slabs, planned once per (producer plan, consumer
+/// plan) pair and shared by every frame: a stitch is then one lease and
+/// one memcpy per run, never a walk over the producer domains.
+struct EdgeStitchPlan {
+  /// `length` consecutive doubles of producer tile `producer`'s slab (its
+  /// outputs in the lex order of its iteration domain), starting at
+  /// `slab_offset`, land at `slice_offset` of the row-major slice.
+  struct Run {
+    std::size_t producer = 0;
+    std::int64_t slab_offset = 0;
+    std::int64_t slice_offset = 0;
+    std::int64_t length = 0;
+  };
+  /// One consumer tile's slice: its inclusive box, its element count and
+  /// the runs that fill it. Box points no run writes are hull padding the
+  /// consumer's data filters discard.
+  struct SliceRuns {
+    poly::IntVec lo, hi;
+    std::int64_t elements = 0;
+    std::vector<Run> runs;
+  };
+  std::vector<SliceRuns> slices;  ///< per consumer tile
+};
+
+/// Plans every consumer tile's stitch over `map`'s covering sets. The
+/// slice box is the consumer's streamed hull box, unioned with
+/// [expand_lo, expand_hi] when that box is non-empty (wrap edges pass the
+/// producer's domain: a wrapped halo read lands on the opposite grid
+/// edge). Runs come from the producer domains' rows (Domain::row_intervals)
+/// clipped to the slice box (one run per row interval), so they are exact
+/// for sheared and triangular domains too.
+EdgeStitchPlan plan_edge_stitch(const runtime::TilePlan& producer_plan,
+                                const runtime::TilePlan& consumer_plan,
+                                const EdgeTileMap& map,
+                                std::size_t input_index,
+                                const poly::IntVec& expand_lo = {},
+                                const poly::IntVec& expand_hi = {});
 
 /// Readiness state over the whole graph with a frame dimension: one
 /// countdown per (frame, stage, tile) of unresolved covering producer

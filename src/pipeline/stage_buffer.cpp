@@ -4,8 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "util/error.hpp"
-
 namespace nup::pipeline {
 
 namespace {
@@ -116,6 +114,10 @@ void BoundaryFeed::read_row(const poly::IntVec& h, std::int64_t n,
   const auto [begin, end] =
       outer_in_box ? in_box_lanes(h[inner], n, lo_[inner], hi_[inner])
                    : std::pair<std::int64_t, std::int64_t>{n, n};
+  if (begin == 0 && end == n) {  // every lane in the box: no point to build
+    inner_->read_row(h, n, out);
+    return;
+  }
   poly::IntVec point = h;
   const auto read_points = [&](std::int64_t from, std::int64_t to) {
     for (std::int64_t l = from; l < to; ++l) {
@@ -133,22 +135,17 @@ void BoundaryFeed::read_row(const poly::IntVec& h, std::int64_t n,
 
 StageBuffer::StageBuffer(
     std::shared_ptr<const runtime::TilePlan> producer_plan,
-    std::shared_ptr<const runtime::TilePlan> consumer_plan,
-    std::shared_ptr<const EdgeTileMap> map, std::size_t input_index,
-    obs::Registry& metrics, const std::string& label,
-    std::shared_ptr<SlabPool> pool, poly::IntVec expand_lo,
-    poly::IntVec expand_hi,
+    std::shared_ptr<const EdgeTileMap> map,
+    std::shared_ptr<const EdgeStitchPlan> stitch_plan, obs::Registry& metrics,
+    const std::string& label, std::shared_ptr<SlabPool> pool,
     std::shared_ptr<const runtime::PlacementPlan> producer_nodes,
     std::shared_ptr<const runtime::PlacementPlan> consumer_nodes)
     : producer_plan_(std::move(producer_plan)),
-      consumer_plan_(std::move(consumer_plan)),
       map_(std::move(map)),
-      input_index_(input_index),
+      stitch_plan_(std::move(stitch_plan)),
       pool_(pool ? std::move(pool) : std::make_shared<SlabPool>()),
       producer_nodes_(std::move(producer_nodes)),
-      consumer_nodes_(std::move(consumer_nodes)),
-      expand_lo_(std::move(expand_lo)),
-      expand_hi_(std::move(expand_hi)) {
+      consumer_nodes_(std::move(consumer_nodes)) {
   slabs_.resize(producer_plan_->tiles.size());
   pending_.resize(producer_plan_->tiles.size());
   for (std::size_t p = 0; p < pending_.size(); ++p) {
@@ -218,43 +215,20 @@ void StageBuffer::admit(std::size_t tile_idx, const double* frame_outputs) {
 }
 
 Slice StageBuffer::stitch(std::size_t tile_idx) {
-  const runtime::Tile& consumer = consumer_plan_->tiles[tile_idx];
-  Slice slice;
-  if (!consumer.input_hulls[input_index_].as_single_box(&slice.lo,
-                                                        &slice.hi)) {
-    throw Error("StageBuffer::stitch: consumer hull is not a box");
-  }
-  for (std::size_t d = 0; d < expand_lo_.size(); ++d) {
-    slice.lo[d] = std::min(slice.lo[d], expand_lo_[d]);
-    slice.hi[d] = std::max(slice.hi[d], expand_hi_[d]);
-  }
-  const std::vector<std::int64_t> strides =
-      row_major_strides(slice.lo, slice.hi);
-  std::int64_t total = 1;
-  for (std::size_t d = 0; d < slice.lo.size(); ++d) {
-    total *= slice.hi[d] - slice.lo[d] + 1;
-  }
+  const EdgeStitchPlan::SliceRuns& plan = stitch_plan_->slices[tile_idx];
   const std::shared_ptr<std::vector<double>> data = pool_->lease(
-      static_cast<std::size_t>(total), consumer_arena(tile_idx));
+      static_cast<std::size_t>(plan.elements), consumer_arena(tile_idx));
 
   std::lock_guard<std::mutex> lock(mu_);
-  for (const std::size_t p : map_->producers_of[tile_idx]) {
-    const runtime::Tile& producer = producer_plan_->tiles[p];
-    const std::vector<double>& slab = slabs_[p];
-    std::size_t k = 0;
-    producer.program->iteration().for_each([&](const poly::IntVec& point) {
-      if (in_box(point, slice.lo, slice.hi)) {
-        (*data)[static_cast<std::size_t>(
-            box_index(point, slice.lo, strides))] = slab[k];
-      }
-      ++k;
-    });
+  for (const EdgeStitchPlan::Run& run : plan.runs) {
+    std::memcpy(data->data() + run.slice_offset,
+                slabs_[run.producer].data() + run.slab_offset,
+                static_cast<std::size_t>(run.length) * sizeof(double));
   }
   for (const std::size_t p : map_->producers_of[tile_idx]) {
     if (--pending_[p] == 0) retire_locked(p);
   }
-  slice.data = data;
-  return slice;
+  return Slice{data, plan.lo, plan.hi};
 }
 
 void StageBuffer::release_consumer(std::size_t tile_idx) {

@@ -90,8 +90,9 @@ class BoundaryFeed final : public sim::ExternalFeed {
 
 /// Per-edge, per-frame staging buffer between a producer and a consumer
 /// stage. Producer workers admit() finished tile slabs; when a consumer
-/// tile's covering set is complete, stitch() assembles its input slice and
-/// retires every producer slab whose last consumer has been served -- so
+/// tile's covering set is complete, stitch() assembles its input slice
+/// with the edge's planned row copies (EdgeStitchPlan) and retires every
+/// producer slab whose last consumer has been served -- so
 /// steady-state occupancy is the band of producer rows the consumer halo
 /// still needs, not the frame. Slab and slice storage comes from the
 /// edge's SlabPool, shared by every frame of the pipeline: successive
@@ -108,25 +109,21 @@ class StageBuffer {
     std::int64_t retired = 0;       ///< slabs freed before frame end
   };
 
-  /// `label` names the pipeline.edge.<label>.* metric series; the map must
-  /// come from map_tile_dependencies over the same two plans. `pool` is
-  /// the edge's cross-frame slab arena; a null pool gets the buffer a
-  /// private one (single-frame uses, tests). A non-empty `expand_lo` /
-  /// `expand_hi` box is unioned into every stitched slice box: wrap edges
-  /// pass the producer's domain here, because a wrapped halo read maps to
-  /// the opposite edge of the grid, which a one-sided window's hull does
-  /// not cover. `producer_nodes` / `consumer_nodes` (optional) are the
-  /// engines' tile placements: admit/retire then route a producer tile's
-  /// slab through its placed node's pool arena and stitch leases from the
-  /// consumer tile's arena, keeping steady-state slab recycling
-  /// node-local. Null placements use arena 0.
+  /// `label` names the pipeline.edge.<label>.* metric series; `map` and
+  /// `stitch_plan` must come from map_tile_dependencies and
+  /// plan_edge_stitch over the producer plan and the same consumer plan.
+  /// `pool` is the edge's cross-frame slab arena; a null pool gets the
+  /// buffer a private one (single-frame uses, tests). `producer_nodes` /
+  /// `consumer_nodes` (optional) are the engines' tile placements:
+  /// admit/retire then route a producer tile's slab through its placed
+  /// node's pool arena and stitch leases from the consumer tile's arena,
+  /// keeping steady-state slab recycling node-local. Null placements use
+  /// arena 0.
   StageBuffer(std::shared_ptr<const runtime::TilePlan> producer_plan,
-              std::shared_ptr<const runtime::TilePlan> consumer_plan,
               std::shared_ptr<const EdgeTileMap> map,
-              std::size_t input_index, obs::Registry& metrics,
-              const std::string& label,
+              std::shared_ptr<const EdgeStitchPlan> stitch_plan,
+              obs::Registry& metrics, const std::string& label,
               std::shared_ptr<SlabPool> pool = nullptr,
-              poly::IntVec expand_lo = {}, poly::IntVec expand_hi = {},
               std::shared_ptr<const runtime::PlacementPlan> producer_nodes =
                   nullptr,
               std::shared_ptr<const runtime::PlacementPlan> consumer_nodes =
@@ -142,9 +139,9 @@ class StageBuffer {
   /// immediately.
   void admit(std::size_t tile_idx, const double* frame_outputs);
 
-  /// Assembles consumer tile `tile_idx`'s input slice over its streamed
-  /// hull box from the covering producer slabs (all admitted by
-  /// construction), then retires slabs whose consumers are all served.
+  /// Assembles consumer tile `tile_idx`'s input slice from the covering
+  /// producer slabs (all admitted by construction) with the planned row
+  /// copies, then retires slabs whose consumers are all served.
   Slice stitch(std::size_t tile_idx);
 
   /// Drops consumer tile `tile_idx` from every covering producer slab's
@@ -163,13 +160,11 @@ class StageBuffer {
   std::size_t consumer_arena(std::size_t tile_idx) const;
 
   std::shared_ptr<const runtime::TilePlan> producer_plan_;
-  std::shared_ptr<const runtime::TilePlan> consumer_plan_;
   std::shared_ptr<const EdgeTileMap> map_;
-  std::size_t input_index_;
+  std::shared_ptr<const EdgeStitchPlan> stitch_plan_;
   std::shared_ptr<SlabPool> pool_;
   std::shared_ptr<const runtime::PlacementPlan> producer_nodes_;
   std::shared_ptr<const runtime::PlacementPlan> consumer_nodes_;
-  poly::IntVec expand_lo_, expand_hi_;  ///< empty = no expansion
 
   mutable std::mutex mu_;
   std::vector<std::vector<double>> slabs_;     // per producer tile

@@ -149,6 +149,8 @@ struct EdgeFixture {
         runtime::plan_tiles(s1, topts));
     map = std::make_shared<const EdgeTileMap>(
         map_tile_dependencies(*p0, *p1, 0));
+    stitch = std::make_shared<const EdgeStitchPlan>(
+        plan_edge_stitch(*p0, *p1, *map, 0));
     // A deterministic producer frame: value = lex rank.
     frame.resize(static_cast<std::size_t>(p0->total_outputs));
     for (std::size_t k = 0; k < frame.size(); ++k) {
@@ -158,6 +160,7 @@ struct EdgeFixture {
   stencil::StencilProgram s0, s1;
   std::shared_ptr<const runtime::TilePlan> p0, p1;
   std::shared_ptr<const EdgeTileMap> map;
+  std::shared_ptr<const EdgeStitchPlan> stitch;
   std::vector<double> frame;
 };
 
@@ -176,7 +179,7 @@ TEST(StageBufferPool, SlabsRecycleAcrossBufferGenerations) {
     }
   });
   for (int generation = 0; generation < 4; ++generation) {
-    StageBuffer buffer(fx.p0, fx.p1, fx.map, 0, registry, "gen", pool);
+    StageBuffer buffer(fx.p0, fx.map, fx.stitch, registry, "gen", pool);
     for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
       buffer.admit(p, fx.frame.data());
     }
@@ -201,7 +204,7 @@ TEST(StageBufferPool, SkippedConsumersRetireTheirProducerSlabs) {
   EdgeFixture fx;
   obs::Registry registry;
   auto pool = std::make_shared<SlabPool>();
-  StageBuffer buffer(fx.p0, fx.p1, fx.map, 0, registry, "skip", pool);
+  StageBuffer buffer(fx.p0, fx.map, fx.stitch, registry, "skip", pool);
 
   for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
     buffer.admit(p, fx.frame.data());
@@ -224,7 +227,7 @@ TEST(StageBufferPool, MixedStitchAndSkipRetiresEverything) {
   EdgeFixture fx;
   obs::Registry registry;
   auto pool = std::make_shared<SlabPool>();
-  StageBuffer buffer(fx.p0, fx.p1, fx.map, 0, registry, "mixed", pool);
+  StageBuffer buffer(fx.p0, fx.map, fx.stitch, registry, "mixed", pool);
 
   for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
     buffer.admit(p, fx.frame.data());
@@ -246,7 +249,7 @@ TEST(StageBufferPool, SkipBeforeAdmitDropsTheLateSlab) {
   EdgeFixture fx;
   obs::Registry registry;
   auto pool = std::make_shared<SlabPool>();
-  StageBuffer buffer(fx.p0, fx.p1, fx.map, 0, registry, "late", pool);
+  StageBuffer buffer(fx.p0, fx.map, fx.stitch, registry, "late", pool);
 
   // All consumers are dropped before any producer resolves (an abort that
   // wins the race): a late admit must hand its slab straight back.
@@ -265,7 +268,7 @@ TEST(StageBufferPool, PrivatePoolWhenNoneIsShared) {
   obs::Registry registry;
   // Null pool: the buffer still works end to end over its private arena
   // (single-frame and test uses).
-  StageBuffer buffer(fx.p0, fx.p1, fx.map, 0, registry, "solo");
+  StageBuffer buffer(fx.p0, fx.map, fx.stitch, registry, "solo");
   for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
     buffer.admit(p, fx.frame.data());
   }

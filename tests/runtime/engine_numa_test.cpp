@@ -154,7 +154,9 @@ TEST(EngineNuma, NodeSeriesAddUpToTilesExecuted) {
       registry.gauge("engine.placement.local_fraction").value();
   EXPECT_GE(local, 0);
   EXPECT_LE(local, 1000);
-  if (stats.tiles_stolen == 0) EXPECT_EQ(local, 1000);
+  if (stats.tiles_stolen == 0) {
+    EXPECT_EQ(local, 1000);
+  }
 }
 
 TEST(EngineNuma, PlacementForExposesTheComputedPlan) {

@@ -158,6 +158,22 @@ TEST_F(Stencilcc, TemporalValuesOutsideTheirModeAreRefused) {
   expect_refused("--timesteps 2 --bc-value 1 heat.c", "--bc-value");
 }
 
+TEST_F(Stencilcc, CompileOnlyFlagsInStagedModesAreRefused) {
+  expect_refused("--timesteps 2 heat.c -o out", "-o");
+  expect_refused("--timesteps 2 heat.c --rtl-check", "--rtl-check");
+  expect_refused("--timesteps 2 heat.c --cpp-model", "--cpp-model");
+  expect_refused("--timesteps 2 heat.c --vcd 10", "--vcd");
+  expect_refused("--pipeline chain.pipe --no-verify", "--no-verify");
+  expect_refused("--pipeline chain.pipe --cpp-model", "--cpp-model");
+}
+
+TEST_F(Stencilcc, EngineFlagsInPlainCompileModeAreRefused) {
+  expect_refused("denoise.c --threads 7", "--threads");
+  expect_refused("denoise.c --tile 8,0", "--tile");
+  expect_refused("denoise.c --numa auto", "--numa");
+  expect_refused("denoise.c --inflight 3", "--inflight");
+}
+
 // ---- every mode still runs ---------------------------------------------
 
 TEST_F(Stencilcc, CompileWritesTheFiveArtifacts) {

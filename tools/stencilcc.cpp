@@ -76,7 +76,8 @@ void usage() {
       "or out-of-range value, or a flag whose mode is not selected, exits\n"
       "with status 2.\n"
       "\n"
-      "compile options:\n"
+      "compile options (-o, --no-verify, --vcd, --cpp-model and --rtl-check\n"
+      "only in compile mode, not with --pipeline or --timesteps):\n"
       "  -o <dir>        output directory for the artifacts (default: .)\n"
       "  --name <n>      accelerator name (default: from the file name)\n"
       "  --exact         exact union-domain sizing and streaming\n"
@@ -91,7 +92,8 @@ void usage() {
       "  --rtl-check     execute the generated Verilog in the built-in\n"
       "                  RTL interpreter (small programs only)\n"
       "\n"
-      "serving options (single kernel, pipeline and temporal modes):\n"
+      "serving options (single kernel --serve, pipeline and temporal modes;\n"
+      "a compile without --serve refuses them):\n"
       "  --serve <N>     frames in [1, 1000000]: serve a compiled kernel's\n"
       "                  frames through the multi-tenant serving subsystem\n"
       "                  and print throughput / shed / cache statistics;\n"
@@ -433,6 +435,11 @@ Cli parse_args(int argc, char** argv) {
               std::string(flag) + " only applies " + mode);
     }
   };
+  const bool staged = !cli.pipeline.empty() || cli.temporal;
+  only({"-o", "--no-verify", "--vcd", "--cpp-model", "--rtl-check"}, !staged,
+       "in compile mode (not with --pipeline or --timesteps)");
+  only({"--threads", "--tile", "--numa", "--inflight"},
+       staged || cli.frames > 0, "with --serve, --pipeline or --timesteps");
   only({"--barrier"}, !cli.pipeline.empty(), "with --pipeline");
   only({"--tenants", "--quota", "--shed-after", "--serve-policy",
         "--serve-mix", "--serve-port", "--cancel-frame"},
