@@ -8,11 +8,7 @@
 //                 lands in the per-thread seqlock rings
 //
 // -- and scores the claim that the journal-on serving rate stays within
-// 2% of journal-off. (The third rung, -DNUP_OBS_DISABLE, compiles every
-// metric and journal write out of nup_obs and cannot share a binary with
-// the other two; rebuilding with the option and re-running this bench
-// measures it, and `obs_compiled` in BENCH_obs.json records which build
-// produced the numbers.)
+// 2% of journal-off.
 //
 // A microbench section reports the raw cost of one Journal::record --
 // the per-event budget the 64-byte seqlock write path was designed
@@ -39,14 +35,6 @@ constexpr std::int64_t kCols = 1024;
 constexpr int kWarmupFrames = 2;
 constexpr int kMeasuredFrames = 8;
 constexpr double kOverheadBudgetPct = 2.0;
-
-/// True when this binary was linked against an nup_obs that actually
-/// writes (i.e. not -DNUP_OBS_DISABLE): a probe record must land.
-bool obs_compiled_in() {
-  obs::Journal probe(16);
-  probe.record(obs::JournalKind::kTileExecuted, 1);
-  return probe.recorded() == 1;
-}
 
 double frames_per_sec(bool journal_on) {
   obs::Registry registry;
@@ -108,12 +96,10 @@ double counter_ns_per_add() {
 }
 
 void print_artifact() {
-  const bool compiled = obs_compiled_in();
   std::printf("DENOISE %lldx%lld, %d measured frames per configuration, "
-              "%u hardware threads, obs %s\n\n",
+              "%u hardware threads\n\n",
               static_cast<long long>(kRows), static_cast<long long>(kCols),
-              kMeasuredFrames, std::thread::hardware_concurrency(),
-              compiled ? "compiled in" : "compiled out (NUP_OBS_DISABLE)");
+              kMeasuredFrames, std::thread::hardware_concurrency());
 
   const double off = frames_per_sec(/*journal_on=*/false);
   const double on = frames_per_sec(/*journal_on=*/true);
@@ -139,7 +125,6 @@ void print_artifact() {
   json << "{\"benchmark\": \"obs_overhead\", \"rows\": " << kRows
        << ", \"cols\": " << kCols
        << ", \"measured_frames\": " << kMeasuredFrames
-       << ", \"obs_compiled\": " << (compiled ? "true" : "false")
        << ", \"frames_per_sec_journal_off\": " << off
        << ", \"frames_per_sec_journal_on\": " << on
        << ", \"overhead_pct\": " << overhead_pct

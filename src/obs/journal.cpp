@@ -174,10 +174,6 @@ std::uint32_t Journal::intern(std::string_view name) {
 void Journal::record(JournalKind kind, std::uint64_t frame, std::int32_t stage,
                      std::int64_t tile, std::int64_t a, std::int64_t b,
                      std::uint32_t name_id) noexcept {
-#ifdef NUP_OBS_DISABLE
-  (void)kind, (void)frame, (void)stage, (void)tile;
-  (void)a, (void)b, (void)name_id;
-#else
   Impl& im = *impl_;
   if (!im.enabled.load(std::memory_order_relaxed)) return;
   ThreadRing* const ring = Impl::local_ring(impl_);
@@ -207,18 +203,13 @@ void Journal::record(JournalKind kind, std::uint64_t frame, std::int32_t stage,
   slot.w[6].store(static_cast<std::uint64_t>(b), std::memory_order_relaxed);
   slot.seq.store(seq0 + 2, std::memory_order_release);
   ring->written.fetch_add(1, std::memory_order_relaxed);
-#endif
 }
 
 void Journal::set_thread_name(std::string name) {
-#ifdef NUP_OBS_DISABLE
-  (void)name;
-#else
   ThreadRing* const ring = Impl::local_ring(impl_);
   if (ring == nullptr) return;
   std::lock_guard<std::mutex> lock(impl_->mu);
   ring->owners.back().name = std::move(name);
-#endif
 }
 
 std::vector<JournalRecord> Journal::snapshot(std::size_t last_n) const {

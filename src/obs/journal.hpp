@@ -12,8 +12,7 @@
 /// The write path is a seqlock per 64-byte slot: one sequence word and
 /// seven relaxed payload words bracketed by release/acquire fences, so
 /// recording never takes a lock and never blocks a reader; a reader that
-/// races a writer simply discards the torn slot. Under -DNUP_OBS_DISABLE
-/// record() compiles to an empty function.
+/// races a writer simply discards the torn slot.
 
 #include <atomic>
 #include <cstdint>
@@ -135,8 +134,7 @@ class Journal {
   /// Bytes currently committed to slot storage across all thread rings.
   std::size_t capacity_bytes() const;
 
-  /// Run-time kill switch (the compile-time one is -DNUP_OBS_DISABLE).
-  /// The journal is always-on by default; benches A/B against this.
+  /// Run-time kill switch. The journal is always-on by default; benches A/B against this.
   void set_enabled(bool enabled);
   bool enabled() const;
 

@@ -47,11 +47,8 @@ void append_json_string(std::string& out, std::string_view s) {
 // ---- Counter -----------------------------------------------------------
 
 void Counter::add(std::int64_t n) noexcept {
-#ifndef NUP_OBS_DISABLE
+  mark_written();
   shards_[shard_index()].n.fetch_add(n, std::memory_order_relaxed);
-#else
-  (void)n;
-#endif
 }
 
 std::int64_t Counter::value() const noexcept {
@@ -69,30 +66,21 @@ void Counter::reset() noexcept {
 // ---- Gauge -------------------------------------------------------------
 
 void Gauge::set(std::int64_t v) noexcept {
-#ifndef NUP_OBS_DISABLE
+  mark_written();
   v_.store(v, std::memory_order_relaxed);
-#else
-  (void)v;
-#endif
 }
 
 void Gauge::add(std::int64_t d) noexcept {
-#ifndef NUP_OBS_DISABLE
+  mark_written();
   v_.fetch_add(d, std::memory_order_relaxed);
-#else
-  (void)d;
-#endif
 }
 
 void Gauge::update_max(std::int64_t v) noexcept {
-#ifndef NUP_OBS_DISABLE
+  mark_written();
   std::int64_t seen = v_.load(std::memory_order_relaxed);
   while (v > seen &&
          !v_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
   }
-#else
-  (void)v;
-#endif
 }
 
 std::int64_t Gauge::value() const noexcept {
@@ -120,7 +108,7 @@ std::vector<std::int64_t> Histogram::default_bounds() {
 }
 
 void Histogram::observe(std::int64_t v) noexcept {
-#ifndef NUP_OBS_DISABLE
+  mark_written();
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const std::size_t bucket =
       static_cast<std::size_t>(it - bounds_.begin());
@@ -135,9 +123,6 @@ void Histogram::observe(std::int64_t v) noexcept {
   while (v > seen &&
          !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
   }
-#else
-  (void)v;
-#endif
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
@@ -207,42 +192,38 @@ double Histogram::Snapshot::percentile(double p) const {
 
 // ---- Registry ----------------------------------------------------------
 
-Counter& Registry::counter(std::string_view name) {
+template <typename Metric, typename Make>
+Metric& Registry::find_or_add(SeriesMap<Metric>& map, std::string_view name,
+                              Shown shown, Make make) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_
-             .emplace(std::string(name),
-                      std::unique_ptr<Counter>(new Counter()))
-             .first;
+  auto it = map.find(name);
+  if (it == map.end()) {
+    it = map.emplace(std::string(name), make()).first;
+    it->second->shown_.store(shown == Shown::kOnLookup,
+                             std::memory_order_relaxed);
+  } else if (shown == Shown::kOnLookup) {
+    it->second->shown_.store(true, std::memory_order_relaxed);
   }
   return *it->second;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_
-             .emplace(std::string(name), std::unique_ptr<Gauge>(new Gauge()))
-             .first;
-  }
-  return *it->second;
+Counter& Registry::counter(std::string_view name, Shown shown) {
+  return find_or_add(counters_, name, shown,
+                     [] { return std::unique_ptr<Counter>(new Counter()); });
+}
+
+Gauge& Registry::gauge(std::string_view name, Shown shown) {
+  return find_or_add(gauges_, name, shown,
+                     [] { return std::unique_ptr<Gauge>(new Gauge()); });
 }
 
 Histogram& Registry::histogram(std::string_view name,
-                               std::vector<std::int64_t> bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
+                               std::vector<std::int64_t> bounds,
+                               Shown shown) {
+  return find_or_add(histograms_, name, shown, [&bounds] {
     if (bounds.empty()) bounds = Histogram::default_bounds();
-    it = histograms_
-             .emplace(std::string(name),
-                      std::unique_ptr<Histogram>(
-                          new Histogram(std::move(bounds))))
-             .first;
-  }
-  return *it->second;
+    return std::unique_ptr<Histogram>(new Histogram(std::move(bounds)));
+  });
 }
 
 MetricsSnapshot Registry::snapshot() const {
@@ -251,6 +232,7 @@ MetricsSnapshot Registry::snapshot() const {
   snap.samples.reserve(counters_.size() + gauges_.size() +
                        histograms_.size());
   for (const auto& [name, counter] : counters_) {
+    if (!counter->shown_.load(std::memory_order_relaxed)) continue;
     MetricSample s;
     s.kind = MetricSample::Kind::kCounter;
     s.name = name;
@@ -258,6 +240,7 @@ MetricsSnapshot Registry::snapshot() const {
     snap.samples.push_back(std::move(s));
   }
   for (const auto& [name, gauge] : gauges_) {
+    if (!gauge->shown_.load(std::memory_order_relaxed)) continue;
     MetricSample s;
     s.kind = MetricSample::Kind::kGauge;
     s.name = name;
@@ -265,6 +248,7 @@ MetricsSnapshot Registry::snapshot() const {
     snap.samples.push_back(std::move(s));
   }
   for (const auto& [name, hist] : histograms_) {
+    if (!hist->shown_.load(std::memory_order_relaxed)) continue;
     MetricSample s;
     s.kind = MetricSample::Kind::kHistogram;
     s.name = name;

@@ -11,11 +11,32 @@
 
 namespace nup::obs {
 
+class Registry;
+
+namespace detail {
+
+/// Whether a series shows in snapshots yet (see Registry::Shown). Every
+/// write shows it; the check is one relaxed load once it is shown.
+class Series {
+ protected:
+  void mark_written() noexcept {
+    if (!shown_.load(std::memory_order_relaxed)) {
+      shown_.store(true, std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  friend class obs::Registry;
+  std::atomic<bool> shown_{true};
+};
+
+}  // namespace detail
+
 /// Monotonically increasing counter. The hot path is one relaxed atomic
 /// add on a per-thread shard (cache-line padded), so concurrent writers
 /// from the frame engine's worker pool never contend on one line;
 /// value() folds the shards.
-class Counter {
+class Counter : public detail::Series {
  public:
   static constexpr std::size_t kShards = 8;
 
@@ -35,7 +56,7 @@ class Counter {
 
 /// Last-written value with atomic set/add and a monotonic update_max
 /// (CAS loop) for high-water marks.
-class Gauge {
+class Gauge : public detail::Series {
  public:
   void set(std::int64_t v) noexcept;
   void add(std::int64_t d) noexcept;
@@ -54,7 +75,7 @@ class Gauge {
 /// cycle-count latencies), each bucket is one atomic counter, and min/max
 /// are CAS loops. observe() is lock-free; snapshot() gives count, sum,
 /// min/max and interpolated percentiles.
-class Histogram {
+class Histogram : public detail::Series {
  public:
   struct Snapshot {
     std::int64_t count = 0;
@@ -119,16 +140,24 @@ struct MetricsSnapshot {
 /// reset() zeroes values in place (addresses stay valid).
 class Registry {
  public:
+  /// When a series a lookup creates joins snapshots: at once, or at its
+  /// first write. kOnFirstWrite is for handles resolved ahead of use
+  /// (runtime::resolve_telemetry): a series nothing was ever published to
+  /// stays out of snapshots, as if it had been looked up at its first
+  /// write. A kOnLookup lookup shows a series that is still hidden.
+  enum class Shown { kOnLookup, kOnFirstWrite };
+
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
+  Counter& counter(std::string_view name, Shown shown = Shown::kOnLookup);
+  Gauge& gauge(std::string_view name, Shown shown = Shown::kOnLookup);
   /// `bounds` applies only when the histogram is created by this call;
   /// empty selects Histogram::default_bounds().
   Histogram& histogram(std::string_view name,
-                       std::vector<std::int64_t> bounds = {});
+                       std::vector<std::int64_t> bounds = {},
+                       Shown shown = Shown::kOnLookup);
 
   MetricsSnapshot snapshot() const;
 
@@ -145,10 +174,18 @@ class Registry {
   static Registry& global();
 
  private:
+  template <typename Metric>
+  using SeriesMap = std::map<std::string, std::unique_ptr<Metric>, std::less<>>;
+
+  /// The series `name` of `map`, created by `make` when absent.
+  template <typename Metric, typename Make>
+  Metric& find_or_add(SeriesMap<Metric>& map, std::string_view name,
+                      Shown shown, Make make);
+
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  SeriesMap<Counter> counters_;
+  SeriesMap<Gauge> gauges_;
+  SeriesMap<Histogram> histograms_;
 };
 
 /// Appends `s` to `out` as a quoted JSON string (the one escaper behind

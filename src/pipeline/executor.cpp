@@ -93,7 +93,9 @@ struct PipelineExecutor::Impl
   /// Per-edge row-copy plans of every consumer tile's slice, shared by
   /// every frame's StageBuffer like the maps.
   std::vector<std::shared_ptr<const EdgeStitchPlan>> stitch_plans;
-  std::vector<std::string> edge_labels;                  // per edge
+  /// Per-edge occupancy series, resolved here once and handed to every
+  /// frame's StageBuffer.
+  std::vector<EdgeMetrics> edge_metrics;
   /// Per-edge slab arenas, shared by every frame crossing the edge: the
   /// storage retired by frame f is what frame f+1 admits into, which is
   /// what makes the steady-state hot path allocation-free.
@@ -195,10 +197,11 @@ struct PipelineExecutor::Impl
                            *maps.back(), edge.input,
                            wrap ? edge.producer_lo : poly::IntVec{},
                            wrap ? edge.producer_hi : poly::IntVec{})));
-      edge_labels.push_back(
+      const std::string label =
           (options.name.empty() ? std::string() : options.name + ".") +
-          edge.label);
-      const std::string edge_name = "pipeline.edge." + edge_labels.back();
+          edge.label;
+      edge_metrics.emplace_back(*registry, label);
+      const std::string edge_name = "pipeline.edge." + label;
       const std::string epfx = edge_name + ".";
       h_ready.push_back(&registry->histogram(epfx + "ready_us"));
       // One arena per scheduling node (1 with numa off), so slabs recycle
@@ -208,7 +211,7 @@ struct PipelineExecutor::Impl
       pool->bind_metrics(&registry->counter(epfx + "slab_allocated"),
                          &registry->counter(epfx + "slab_recycled"));
       pool->bind_resident_gauge(&registry->gauge(
-          "pool." + edge_labels.back() + ".resident_bytes"));
+          "pool." + label + ".resident_bytes"));
       pool->bind_journal(journal, journal->intern(edge_name));
       pools.push_back(std::move(pool));
     }
@@ -496,66 +499,6 @@ runtime::FrameEngine& PipelineExecutor::engine() { return *impl_->engine; }
 
 PipelineHandle PipelineExecutor::submit(std::uint64_t seed,
                                         FrameOptions frame) {
-  return submit_internal(seed, std::move(frame), /*reserved=*/false);
-}
-
-std::vector<PipelineHandle> PipelineExecutor::submit_group(
-    const std::vector<std::uint64_t>& seeds,
-    std::vector<FrameOptions> frames) {
-  Impl& im = *impl_;
-  if (!frames.empty() && frames.size() != seeds.size()) {
-    throw Error("PipelineExecutor::submit_group: frames/seeds size mismatch");
-  }
-  if (seeds.empty()) return {};
-  const std::size_t n = seeds.size();
-  const std::size_t window = im.options.max_frames_in_flight;
-  if (window != 0 && n > window) {
-    throw Error("PipelineExecutor::submit_group: group of " +
-                std::to_string(n) +
-                " frames exceeds max_frames_in_flight " +
-                std::to_string(window));
-  }
-  {
-    // Reserve the whole group in one critical section: concurrent
-    // submitters see the window shrink by n at once, so no foreign frame
-    // can land between two frames of the group.
-    std::unique_lock<std::mutex> lock(im.mu);
-    im.window_cv.wait(lock, [&] {
-      return !im.accepting || window == 0 || im.frames_active + n <= window;
-    });
-    if (!im.accepting) {
-      throw Error("PipelineExecutor::submit_group after shutdown");
-    }
-    im.frames_active += n;
-    im.g_inflight->set(static_cast<std::int64_t>(im.frames_active));
-    im.g_inflight_max->update_max(
-        static_cast<std::int64_t>(im.frames_active));
-  }
-  std::vector<PipelineHandle> handles;
-  handles.reserve(n);
-  try {
-    for (std::size_t i = 0; i < n; ++i) {
-      handles.push_back(submit_internal(
-          seeds[i], frames.empty() ? FrameOptions{} : std::move(frames[i]),
-          /*reserved=*/true));
-    }
-  } catch (...) {
-    // Release the reservations no frame ever claimed, so the window is
-    // not leaked (admitted frames release theirs through frame_done).
-    {
-      std::lock_guard<std::mutex> lock(im.mu);
-      im.frames_active -= n - handles.size();
-      im.g_inflight->set(static_cast<std::int64_t>(im.frames_active));
-    }
-    im.window_cv.notify_all();
-    throw;
-  }
-  return handles;
-}
-
-PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
-                                                 FrameOptions frame,
-                                                 bool reserved) {
   Impl& im = *impl_;
   auto ctx = std::make_shared<FrameCtx>();
   ctx->impl = im.weak_from_this();
@@ -572,8 +515,8 @@ PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
     const StageEdge& edge = im.graph.edges()[e];
     ctx->buffers.push_back(std::make_unique<StageBuffer>(
         im.plans[edge.producer], im.maps[e], im.stitch_plans[e],
-        *im.registry, im.edge_labels[e], im.pools[e],
-        im.placements[edge.producer], im.placements[edge.consumer]));
+        im.edge_metrics[e], im.pools[e], im.placements[edge.producer],
+        im.placements[edge.consumer]));
   }
   ctx->slices.resize(stages);
   ctx->released.resize(stages);
@@ -598,23 +541,18 @@ PipelineHandle PipelineExecutor::submit_internal(std::uint64_t seed,
     // are unresolved (frame_done signals). Frame ids are assigned at
     // admission, so armed ids are always distinct.
     std::unique_lock<std::mutex> lock(im.mu);
-    if (!reserved) {
-      im.window_cv.wait(lock, [&] {
-        return !im.accepting || im.options.max_frames_in_flight == 0 ||
-               im.frames_active < im.options.max_frames_in_flight;
-      });
-    }
+    im.window_cv.wait(lock, [&] {
+      return !im.accepting || im.options.max_frames_in_flight == 0 ||
+             im.frames_active < im.options.max_frames_in_flight;
+    });
     if (!im.accepting) {
       throw Error("PipelineExecutor::submit after shutdown");
     }
     ctx->frame_id = im.next_frame_id++;
-    if (!reserved) {
-      // A group submit already claimed its slots in submit_group.
-      ++im.frames_active;
-      im.g_inflight->set(static_cast<std::int64_t>(im.frames_active));
-      im.g_inflight_max->update_max(
-          static_cast<std::int64_t>(im.frames_active));
-    }
+    ++im.frames_active;
+    im.g_inflight->set(static_cast<std::int64_t>(im.frames_active));
+    im.g_inflight_max->update_max(
+        static_cast<std::int64_t>(im.frames_active));
     // Prune frames that already resolved; keep live ones reachable for
     // shutdown() even when the caller drops its handle.
     std::erase_if(im.inflight, [](const std::shared_ptr<FrameCtx>& f) {

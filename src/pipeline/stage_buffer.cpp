@@ -133,11 +133,20 @@ void BoundaryFeed::read_row(const poly::IntVec& h, std::int64_t n,
   read_points(end, n);
 }
 
+EdgeMetrics::EdgeMetrics(obs::Registry& registry, const std::string& label) {
+  const std::string prefix = "pipeline.edge." + label + ".";
+  tiles = &registry.gauge(prefix + "buffer_tiles");
+  elements = &registry.gauge(prefix + "buffer_elements");
+  tiles_max = &registry.gauge(prefix + "buffer_tiles_max");
+  elements_max = &registry.gauge(prefix + "buffer_elements_max");
+  retired = &registry.counter(prefix + "tiles_retired");
+}
+
 StageBuffer::StageBuffer(
     std::shared_ptr<const runtime::TilePlan> producer_plan,
     std::shared_ptr<const EdgeTileMap> map,
-    std::shared_ptr<const EdgeStitchPlan> stitch_plan, obs::Registry& metrics,
-    const std::string& label, std::shared_ptr<SlabPool> pool,
+    std::shared_ptr<const EdgeStitchPlan> stitch_plan,
+    const EdgeMetrics& metrics, std::shared_ptr<SlabPool> pool,
     std::shared_ptr<const runtime::PlacementPlan> producer_nodes,
     std::shared_ptr<const runtime::PlacementPlan> consumer_nodes)
     : producer_plan_(std::move(producer_plan)),
@@ -145,18 +154,13 @@ StageBuffer::StageBuffer(
       stitch_plan_(std::move(stitch_plan)),
       pool_(pool ? std::move(pool) : std::make_shared<SlabPool>()),
       producer_nodes_(std::move(producer_nodes)),
-      consumer_nodes_(std::move(consumer_nodes)) {
+      consumer_nodes_(std::move(consumer_nodes)),
+      metrics_(metrics) {
   slabs_.resize(producer_plan_->tiles.size());
   pending_.resize(producer_plan_->tiles.size());
   for (std::size_t p = 0; p < pending_.size(); ++p) {
     pending_[p] = static_cast<std::int64_t>(map_->consumers_of[p].size());
   }
-  const std::string prefix = "pipeline.edge." + label + ".";
-  g_tiles_ = &metrics.gauge(prefix + "buffer_tiles");
-  g_elements_ = &metrics.gauge(prefix + "buffer_elements");
-  g_max_tiles_ = &metrics.gauge(prefix + "buffer_tiles_max");
-  g_max_elements_ = &metrics.gauge(prefix + "buffer_elements_max");
-  c_retired_ = &metrics.counter(prefix + "tiles_retired");
 }
 
 StageBuffer::~StageBuffer() {
@@ -168,8 +172,8 @@ StageBuffer::~StageBuffer() {
       pool_->give(std::move(slabs_[p]), producer_arena(p));
     }
   }
-  g_tiles_->add(-occ_.tiles);
-  g_elements_->add(-occ_.elements);
+  metrics_.tiles->add(-occ_.tiles);
+  metrics_.elements->add(-occ_.elements);
 }
 
 // A slab lives in the arena of the node its producer tile was placed on
@@ -208,10 +212,10 @@ void StageBuffer::admit(std::size_t tile_idx, const double* frame_outputs) {
   occ_.elements += elems;
   occ_.max_tiles = std::max(occ_.max_tiles, occ_.tiles);
   occ_.max_elements = std::max(occ_.max_elements, occ_.elements);
-  g_tiles_->add(1);
-  g_elements_->add(elems);
-  g_max_tiles_->update_max(occ_.max_tiles);
-  g_max_elements_->update_max(occ_.max_elements);
+  metrics_.tiles->add(1);
+  metrics_.elements->add(elems);
+  metrics_.tiles_max->update_max(occ_.max_tiles);
+  metrics_.elements_max->update_max(occ_.max_elements);
 }
 
 Slice StageBuffer::stitch(std::size_t tile_idx) {
@@ -247,9 +251,9 @@ void StageBuffer::retire_locked(std::size_t producer_tile) {
   occ_.tiles -= 1;
   occ_.elements -= elems;
   occ_.retired += 1;
-  g_tiles_->add(-1);
-  g_elements_->add(-elems);
-  c_retired_->inc();
+  metrics_.tiles->add(-1);
+  metrics_.elements->add(-elems);
+  metrics_.retired->inc();
 }
 
 StageBuffer::Occupancy StageBuffer::occupancy() const {

@@ -88,6 +88,18 @@ class BoundaryFeed final : public sim::ExternalFeed {
   double constant_;
 };
 
+/// The pipeline.edge.<label>.* occupancy series of one stage edge, resolved
+/// once per edge and shared by every frame's StageBuffer on it.
+struct EdgeMetrics {
+  EdgeMetrics(obs::Registry& registry, const std::string& label);
+
+  obs::Gauge* tiles;         ///< buffer_tiles
+  obs::Gauge* elements;      ///< buffer_elements
+  obs::Gauge* tiles_max;     ///< buffer_tiles_max
+  obs::Gauge* elements_max;  ///< buffer_elements_max
+  obs::Counter* retired;     ///< tiles_retired
+};
+
 /// Per-edge, per-frame staging buffer between a producer and a consumer
 /// stage. Producer workers admit() finished tile slabs; when a consumer
 /// tile's covering set is complete, stitch() assembles its input slice
@@ -109,7 +121,7 @@ class StageBuffer {
     std::int64_t retired = 0;       ///< slabs freed before frame end
   };
 
-  /// `label` names the pipeline.edge.<label>.* metric series; `map` and
+  /// `metrics` are the edge's occupancy series; `map` and
   /// `stitch_plan` must come from map_tile_dependencies and
   /// plan_edge_stitch over the producer plan and the same consumer plan.
   /// `pool` is the edge's cross-frame slab arena; a null pool gets the
@@ -122,7 +134,7 @@ class StageBuffer {
   StageBuffer(std::shared_ptr<const runtime::TilePlan> producer_plan,
               std::shared_ptr<const EdgeTileMap> map,
               std::shared_ptr<const EdgeStitchPlan> stitch_plan,
-              obs::Registry& metrics, const std::string& label,
+              const EdgeMetrics& metrics,
               std::shared_ptr<SlabPool> pool = nullptr,
               std::shared_ptr<const runtime::PlacementPlan> producer_nodes =
                   nullptr,
@@ -170,12 +182,7 @@ class StageBuffer {
   std::vector<std::vector<double>> slabs_;     // per producer tile
   std::vector<std::int64_t> pending_;          // consumers left per slab
   Occupancy occ_;
-
-  obs::Gauge* g_tiles_ = nullptr;
-  obs::Gauge* g_elements_ = nullptr;
-  obs::Gauge* g_max_tiles_ = nullptr;
-  obs::Gauge* g_max_elements_ = nullptr;
-  obs::Counter* c_retired_ = nullptr;
+  EdgeMetrics metrics_;
 };
 
 }  // namespace nup::pipeline

@@ -86,8 +86,9 @@ std::uint64_t DesignCache::fingerprint(const stencil::StencilProgram& program,
 
 DesignCache::DesignCache(std::size_t capacity, obs::Registry* registry,
                          const std::string& label)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {
-  obs::Registry& reg = registry ? *registry : obs::Registry::global();
+    : capacity_(std::max<std::size_t>(capacity, 1)),
+      registry_(registry ? registry : &obs::Registry::global()) {
+  obs::Registry& reg = *registry_;
   const std::string prefix =
       label.empty() ? std::string("cache.") : "cache." + label + ".";
   m_hits_ = &reg.counter(prefix + "hits");
@@ -128,6 +129,7 @@ DesignCache::lookup_or_compile_locked(const stencil::StencilProgram& program,
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
           .count();
+  entry->telemetry = resolve_telemetry(*registry_, entry->design);
   m_compile_us_->observe(compile_us);
   if (journal_ != nullptr) {
     journal_->record(obs::JournalKind::kDesignCompiled, 0, -1, -1, compile_us,

@@ -11,19 +11,22 @@
 #include "arch/design.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/telemetry.hpp"
 #include "sim/fast.hpp"
 #include "stencil/program.hpp"
 
 namespace nup::runtime {
 
-/// One memoized compilation: the non-uniform microarchitecture plus the
-/// fast-backend row programs. Immutable after insertion; entries are handed
+/// One memoized compilation: the non-uniform microarchitecture, the
+/// fast-backend row programs, and the design's telemetry handles resolved
+/// in the cache's registry. Immutable after insertion; entries are handed
 /// out as shared_ptr so an evicted design stays alive for as long as any
 /// in-flight simulation still uses it.
 struct CachedDesign {
   std::uint64_t fingerprint = 0;
   arch::AcceleratorDesign design;
   std::shared_ptr<const sim::FastPlan> plan;
+  DesignTelemetry telemetry;  ///< every tile run of `design` publishes here
 };
 
 /// Mutex-consistent view of one cache's activity: read in one critical
@@ -63,7 +66,8 @@ class DesignCache {
  public:
   /// `registry` receives the cache.* metrics (hits/misses/inserts/
   /// evictions/eviction_skips/pins/unpins counters, pinned/entries
-  /// gauges, compile-latency histogram);
+  /// gauges, compile-latency histogram) and holds every entry's
+  /// telemetry handles;
   /// nullptr selects the process-wide obs::Registry::global(). A non-empty
   /// `label` namespaces the metrics as cache.<label>.* so several caches
   /// (one per named engine) publish distinct series.
@@ -129,6 +133,7 @@ class DesignCache {
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   DesignCacheStats stats_;
 
+  obs::Registry* registry_;
   // Registry metrics (resolved once; updates are lock-free).
   obs::Counter* m_hits_ = nullptr;
   obs::Counter* m_misses_ = nullptr;

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -14,7 +15,6 @@
 #include <sched.h>
 #endif
 
-#include "runtime/telemetry.hpp"
 #include "sim/fast.hpp"
 #include "util/error.hpp"
 
@@ -213,6 +213,18 @@ std::vector<std::size_t> worker_nodes(std::size_t threads,
   }
   return out;
 }
+
+/// Why a tile failed, and what its post-mortem carries.
+struct TileFailure {
+  std::string what;  ///< the frame's error; empty while the tile is ok
+  const char* reason = "frame_failed";  ///< post-mortem bundle reason
+  const arch::AcceleratorDesign* design = nullptr;  ///< described if set
+  std::optional<obs::FifoDetail> fifo = {};  ///< the violated FIFO
+  /// Verdict event journaled before the dump, with its payload.
+  std::optional<obs::JournalKind> verdict = {};
+  std::int64_t a = 0;
+  std::int64_t b = 0;
+};
 
 /// The engine (its Impl) whose worker the calling thread is; null on
 /// every other thread. push_job's test for "released from a worker".
@@ -502,6 +514,32 @@ struct FrameEngine::Impl {
     finish_tiles(frame, 1);
   }
 
+  /// Fails `frame` with `failure.what`. The first failing tile owns the
+  /// frame's post-mortem: it records the verdict event (so the bundle's
+  /// log names frame, stage, tile and FIFO) and dumps the bundle with the
+  /// offending design's describe() while both are still in hand.
+  void fail_tile(FrameState& frame, std::size_t tile_idx,
+                 const TileFailure& failure) {
+    if (!frame.fail(failure.what)) return;
+    const auto tile = static_cast<std::int64_t>(tile_idx);
+    if (failure.verdict) {
+      journal->record(*failure.verdict, frame.options.frame_id,
+                      frame.options.stage, tile, failure.a, failure.b, jname);
+    }
+    obs::PostmortemInfo pm;
+    pm.reason = failure.reason;
+    pm.detail = failure.what;
+    pm.frame = frame.options.frame_id;
+    pm.stage = frame.options.stage;
+    pm.tile = tile;
+    if (failure.design != nullptr) pm.design = arch::describe(*failure.design);
+    if (failure.fifo) {
+      pm.has_fifo = true;
+      pm.fifo = *failure.fifo;
+    }
+    journal->dump_postmortem(pm, registry);
+  }
+
   void run_tile(FrameState& frame, const Tile& tile, std::size_t tile_idx,
                 obs::Counter& worker_busy_us, obs::Counter& worker_tiles) {
     if (frame.cancelled.load(std::memory_order_relaxed)) {
@@ -516,11 +554,11 @@ struct FrameEngine::Impl {
     m_tiles_executed->inc();
 
     const auto t0 = std::chrono::steady_clock::now();
-    bool ok = true;
+    std::shared_ptr<const CachedDesign> entry;
+    TileFailure failure;
     try {
       // Steady-state path: a pre-resolved design (pinned by the pipeline
       // executor at construction) skips the cache lookup entirely.
-      std::shared_ptr<const CachedDesign> entry;
       if (frame.options.designs &&
           tile_idx < frame.options.designs->size()) {
         entry = (*frame.options.designs)[tile_idx];
@@ -560,81 +598,34 @@ struct FrameEngine::Impl {
       });
       const sim::SimResult r = sim.run();
       obs::FifoDetail violation;
-      const int violations =
-          publish_sim_telemetry(*registry, entry->design, r, &violation);
-      // The first failing tile owns the frame's post-mortem: it records
-      // the verdict event (so the bundle's log names frame, stage, tile
-      // and FIFO) and dumps the bundle with the offending design's
-      // describe() while both are still in hand.
+      const int violations = entry->telemetry.publish(r, &violation);
+      const std::string& name = tile.program->name();
       if (r.deadlocked) {
-        ok = false;
-        const std::string what = tile.program->name() + " deadlocked: " +
-                                 r.deadlock_detail;
-        if (frame.fail(what)) {
-          journal->record(obs::JournalKind::kDeadlock,
-                          frame.options.frame_id, frame.options.stage,
-                          static_cast<std::int64_t>(tile_idx), r.cycles, 0,
-                          jname);
-          obs::PostmortemInfo pm;
-          pm.reason = "deadlock";
-          pm.detail = what;
-          pm.frame = frame.options.frame_id;
-          pm.stage = frame.options.stage;
-          pm.tile = static_cast<std::int64_t>(tile_idx);
-          pm.design = arch::describe(entry->design);
-          journal->dump_postmortem(pm, registry);
-        }
+        failure = {.what = name + " deadlocked: " + r.deadlock_detail,
+                   .reason = "deadlock",
+                   .design = &entry->design,
+                   .verdict = obs::JournalKind::kDeadlock,
+                   .a = r.cycles};
       } else if (r.kernel_fires != tile.outputs()) {
-        ok = false;
-        const std::string what =
-            tile.program->name() + " produced " +
-            std::to_string(r.kernel_fires) + " of " +
-            std::to_string(tile.outputs()) + " outputs";
-        if (frame.fail(what)) {
-          obs::PostmortemInfo pm;
-          pm.reason = "frame_failed";
-          pm.detail = what;
-          pm.frame = frame.options.frame_id;
-          pm.stage = frame.options.stage;
-          pm.tile = static_cast<std::int64_t>(tile_idx);
-          pm.design = arch::describe(entry->design);
-          journal->dump_postmortem(pm, registry);
-        }
+        failure = {.what = name + " produced " +
+                           std::to_string(r.kernel_fires) + " of " +
+                           std::to_string(tile.outputs()) + " outputs",
+                   .design = &entry->design};
       } else if (violations > 0) {
-        ok = false;
-        const std::string what = tile.program->name() + ": " +
-                                 std::to_string(violations) +
-                                 " FIFO(s) exceeded their designed depth";
-        if (frame.fail(what)) {
-          journal->record(obs::JournalKind::kDepthViolation,
-                          frame.options.frame_id, frame.options.stage,
-                          static_cast<std::int64_t>(tile_idx),
-                          violation.high_water, violation.depth, jname);
-          obs::PostmortemInfo pm;
-          pm.reason = "depth_violation";
-          pm.detail = what;
-          pm.frame = frame.options.frame_id;
-          pm.stage = frame.options.stage;
-          pm.tile = static_cast<std::int64_t>(tile_idx);
-          pm.design = arch::describe(entry->design);
-          pm.has_fifo = true;
-          pm.fifo = violation;
-          journal->dump_postmortem(pm, registry);
-        }
+        failure = {.what = name + ": " + std::to_string(violations) +
+                           " FIFO(s) exceeded their designed depth",
+                   .reason = "depth_violation",
+                   .design = &entry->design,
+                   .fifo = violation,
+                   .verdict = obs::JournalKind::kDepthViolation,
+                   .a = violation.high_water,
+                   .b = violation.depth};
       }
     } catch (const std::exception& e) {
-      ok = false;
-      const std::string what = tile.program->name() + ": " + e.what();
-      if (frame.fail(what)) {
-        obs::PostmortemInfo pm;
-        pm.reason = "frame_failed";
-        pm.detail = what;
-        pm.frame = frame.options.frame_id;
-        pm.stage = frame.options.stage;
-        pm.tile = static_cast<std::int64_t>(tile_idx);
-        journal->dump_postmortem(pm, registry);
-      }
+      failure = {.what = tile.program->name() + ": " + e.what()};
     }
+    const bool ok = failure.what.empty();
+    if (!ok) fail_tile(frame, tile_idx, failure);
     const std::int64_t us = elapsed_us(t0);
     m_tile_latency_us->observe(us);
     worker_busy_us.add(us);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <limits>
 #include <utility>
@@ -12,24 +13,6 @@
 namespace nup::temporal {
 
 namespace {
-
-std::vector<std::int64_t> row_major_strides(const poly::IntVec& lo,
-                                            const poly::IntVec& hi) {
-  std::vector<std::int64_t> strides(lo.size(), 1);
-  for (std::size_t d = lo.size(); d-- > 1;) {
-    strides[d - 1] = strides[d] * (hi[d] - lo[d] + 1);
-  }
-  return strides;
-}
-
-std::int64_t box_index(const poly::IntVec& point, const poly::IntVec& lo,
-                       const std::vector<std::int64_t>& strides) {
-  std::int64_t idx = 0;
-  for (std::size_t d = 0; d < point.size(); ++d) {
-    idx += (point[d] - lo[d]) * strides[d];
-  }
-  return idx;
-}
 
 std::int64_t residual_micro(double residual) {
   const double scaled = residual * 1e6;
@@ -157,16 +140,31 @@ pipeline::PipelineHandle TemporalRunner::submit_pass(
 std::vector<double> TemporalRunner::restrict_to_target(
     const std::vector<double>& data, const poly::IntVec& lo,
     const poly::IntVec& hi) const {
-  if (lo == schedule_.domain_lo && hi == schedule_.domain_hi) return data;
-  const std::vector<std::int64_t> strides = row_major_strides(lo, hi);
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(
-      poly::Domain::box(schedule_.domain_lo, schedule_.domain_hi).count()));
-  poly::Domain::box(schedule_.domain_lo, schedule_.domain_hi)
-      .for_each([&](const poly::IntVec& h) {
-        out.push_back(
-            data[static_cast<std::size_t>(box_index(h, lo, strides))]);
-      });
+  const poly::IntVec& tlo = schedule_.domain_lo;
+  const poly::IntVec& thi = schedule_.domain_hi;
+  if (lo == tlo && hi == thi) return data;
+  // The target box lies inside [lo, hi]: copy it one row at a time,
+  // stepping the outer coordinates of the row start `h` like an odometer.
+  const std::size_t inner = lo.size() - 1;
+  std::vector<std::int64_t> stride(lo.size(), 1);  // row-major in [lo, hi]
+  std::int64_t rows = 1;
+  for (std::size_t d = inner; d-- > 0;) {
+    stride[d] = stride[d + 1] * (hi[d + 1] - lo[d + 1] + 1);
+    rows *= thi[d] - tlo[d] + 1;
+  }
+  const std::int64_t row = thi[inner] - tlo[inner] + 1;
+  std::vector<double> out(static_cast<std::size_t>(rows * row));
+  poly::IntVec h = tlo;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    std::int64_t from = 0;
+    for (std::size_t d = 0; d <= inner; ++d) from += (h[d] - lo[d]) * stride[d];
+    std::memcpy(out.data() + r * row, data.data() + from,
+                static_cast<std::size_t>(row) * sizeof(double));
+    for (std::size_t d = inner; d-- > 0;) {
+      if (++h[d] <= thi[d]) break;
+      h[d] = tlo[d];
+    }
+  }
   return out;
 }
 

@@ -152,6 +152,34 @@ TEST(Registry, ResetZeroesInPlace) {
   EXPECT_EQ(registry.counter("n").value(), 1);
 }
 
+TEST(Registry, SeriesResolvedAheadShowAtTheirFirstWrite) {
+  constexpr Registry::Shown kLater = Registry::Shown::kOnFirstWrite;
+  Registry registry;
+  Counter& counter = registry.counter("c", kLater);
+  Gauge& gauge = registry.gauge("g", kLater);
+  Histogram& hist = registry.histogram("h", {}, kLater);
+  Counter& looked_up = registry.counter("shown", kLater);
+  EXPECT_TRUE(registry.snapshot().samples.empty());
+
+  // Any write shows a series, even one that leaves its value at zero; a
+  // plain lookup shows it too, as a first lookup always did.
+  counter.add(0);
+  gauge.update_max(0);
+  EXPECT_EQ(&registry.counter("shown"), &looked_up);
+  MetricsSnapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.samples.size(), 3u);
+  EXPECT_EQ(snap.samples[0].name, "c");
+  EXPECT_EQ(snap.samples[1].name, "shown");
+  EXPECT_EQ(snap.samples[2].name, "g");
+
+  // A shown series never hides again: not through a later kOnFirstWrite
+  // lookup, not through reset().
+  hist.observe(7);
+  EXPECT_EQ(&registry.histogram("h", {}, kLater), &hist);
+  registry.reset();
+  EXPECT_EQ(registry.snapshot().samples.size(), 4u);
+}
+
 TEST(Registry, SnapshotJsonAndTable) {
   Registry registry;
   registry.counter("cache.hits").add(12);

@@ -642,87 +642,5 @@ TEST(PipelineExecutor, MetricsAreNamespacedPerPipeline) {
       0);
 }
 
-// ---- atomic group admission --------------------------------------------
-
-TEST(PipelineExecutor, SubmitGroupBitIdenticalToIndividualSubmits) {
-  std::vector<stencil::StencilProgram> stages = {
-      smoother("S0", 1, 20, 14), smoother("S1", 2, 20, 14)};
-  PipelineOptions options;
-  options.threads_per_stage = 1;
-  options.tile_shape = {4, 0};
-  options.max_frames_in_flight = 4;
-  PipelineExecutor executor(StageGraph::chain(stages), options);
-
-  const std::vector<std::uint64_t> seeds = {3, 14, 15, 92};
-  std::vector<PipelineHandle> handles = executor.submit_group(seeds);
-  ASSERT_EQ(handles.size(), seeds.size());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    expect_pipeline_matches(stages, handles[i].wait(), seeds[i]);
-  }
-}
-
-TEST(PipelineExecutor, SubmitGroupOversizedOrMismatchedThrows) {
-  std::vector<stencil::StencilProgram> stages = {
-      smoother("S0", 1, 16, 12), smoother("S1", 2, 16, 12)};
-  PipelineOptions options;
-  options.threads_per_stage = 1;
-  options.tile_shape = {3, 0};
-  options.max_frames_in_flight = 2;
-  PipelineExecutor executor(StageGraph::chain(stages), options);
-
-  // A group larger than a non-zero window could never be admitted
-  // atomically: refuse it instead of deadlocking the caller.
-  EXPECT_THROW(executor.submit_group({1, 2, 3}), Error);
-
-  // Positional frame hooks must match the seed count (empty = defaults).
-  std::vector<FrameOptions> frames(1);
-  EXPECT_THROW(executor.submit_group({1, 2}, std::move(frames)), Error);
-
-  // An empty group is a no-op, not a blocking admission of nothing.
-  EXPECT_TRUE(executor.submit_group({}).empty());
-
-  // The failed calls left no window reservations behind: a full-window
-  // group still fits.
-  std::vector<PipelineHandle> handles = executor.submit_group({7, 8});
-  ASSERT_EQ(handles.size(), 2u);
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    expect_pipeline_matches(stages, handles[i].wait(), 7 + i);
-  }
-
-  executor.shutdown();
-  EXPECT_THROW(executor.submit_group({9}), Error);
-}
-
-TEST(PipelineExecutor, SubmitGroupWaitsForTheWholeWindow) {
-  // Window of two, one slot occupied: a group of two must wait for the
-  // occupant to drain and then be admitted as a unit -- the group is
-  // never split across the busy window.
-  obs::Registry registry;
-  std::vector<stencil::StencilProgram> stages = {
-      smoother("S0", 1, 18, 12), smoother("S1", 2, 18, 12)};
-  PipelineOptions options;
-  options.name = "grp";
-  options.threads_per_stage = 1;
-  options.tile_shape = {3, 0};
-  options.metrics = &registry;
-  options.max_frames_in_flight = 2;
-  PipelineExecutor executor(StageGraph::chain(stages), options);
-
-  PipelineHandle occupant = executor.submit(11);
-  std::vector<PipelineHandle> group;
-  std::thread submitter([&executor, &group] {
-    group = executor.submit_group({21, 22});
-  });
-  submitter.join();  // unblocked by the occupant draining
-  expect_pipeline_matches(stages, occupant.wait(), 11);
-  ASSERT_EQ(group.size(), 2u);
-  expect_pipeline_matches(stages, group[0].wait(), 21);
-  expect_pipeline_matches(stages, group[1].wait(), 22);
-
-  EXPECT_LE(registry.gauge("pipeline.grp.frames_in_flight_max").value(), 2);
-  EXPECT_EQ(registry.gauge("pipeline.grp.frames_in_flight").value(), 0);
-  EXPECT_EQ(registry.counter("pipeline.grp.frames_completed").value(), 3);
-}
-
 }  // namespace
 }  // namespace nup::pipeline

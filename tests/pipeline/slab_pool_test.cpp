@@ -179,7 +179,8 @@ TEST(StageBufferPool, SlabsRecycleAcrossBufferGenerations) {
     }
   });
   for (int generation = 0; generation < 4; ++generation) {
-    StageBuffer buffer(fx.p0, fx.map, fx.stitch, registry, "gen", pool);
+    StageBuffer buffer(fx.p0, fx.map, fx.stitch, EdgeMetrics(registry, "gen"),
+                       pool);
     for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
       buffer.admit(p, fx.frame.data());
     }
@@ -204,7 +205,8 @@ TEST(StageBufferPool, SkippedConsumersRetireTheirProducerSlabs) {
   EdgeFixture fx;
   obs::Registry registry;
   auto pool = std::make_shared<SlabPool>();
-  StageBuffer buffer(fx.p0, fx.map, fx.stitch, registry, "skip", pool);
+  StageBuffer buffer(fx.p0, fx.map, fx.stitch, EdgeMetrics(registry, "skip"),
+                     pool);
 
   for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
     buffer.admit(p, fx.frame.data());
@@ -227,7 +229,8 @@ TEST(StageBufferPool, MixedStitchAndSkipRetiresEverything) {
   EdgeFixture fx;
   obs::Registry registry;
   auto pool = std::make_shared<SlabPool>();
-  StageBuffer buffer(fx.p0, fx.map, fx.stitch, registry, "mixed", pool);
+  StageBuffer buffer(fx.p0, fx.map, fx.stitch, EdgeMetrics(registry, "mixed"),
+                     pool);
 
   for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
     buffer.admit(p, fx.frame.data());
@@ -249,7 +252,8 @@ TEST(StageBufferPool, SkipBeforeAdmitDropsTheLateSlab) {
   EdgeFixture fx;
   obs::Registry registry;
   auto pool = std::make_shared<SlabPool>();
-  StageBuffer buffer(fx.p0, fx.map, fx.stitch, registry, "late", pool);
+  StageBuffer buffer(fx.p0, fx.map, fx.stitch, EdgeMetrics(registry, "late"),
+                     pool);
 
   // All consumers are dropped before any producer resolves (an abort that
   // wins the race): a late admit must hand its slab straight back.
@@ -268,7 +272,8 @@ TEST(StageBufferPool, PrivatePoolWhenNoneIsShared) {
   obs::Registry registry;
   // Null pool: the buffer still works end to end over its private arena
   // (single-frame and test uses).
-  StageBuffer buffer(fx.p0, fx.map, fx.stitch, registry, "solo");
+  StageBuffer buffer(fx.p0, fx.map, fx.stitch,
+                     EdgeMetrics(registry, "solo"));
   for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
     buffer.admit(p, fx.frame.data());
   }

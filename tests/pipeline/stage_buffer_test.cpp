@@ -142,7 +142,7 @@ void expect_stitch_matches_point_walk(
     frame[k] = 1.0 + 0.25 * static_cast<double>(k);
   }
   obs::Registry registry;
-  StageBuffer buffer(p0, map, stitch, registry, "diff");
+  StageBuffer buffer(p0, map, stitch, EdgeMetrics(registry, "diff"));
   for (std::size_t p = 0; p < p0->tiles.size(); ++p) {
     buffer.admit(p, frame.data());
   }

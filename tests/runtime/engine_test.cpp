@@ -493,6 +493,140 @@ TEST(FrameEngine, DeadlockedFrameLeavesABundleNamingTheDesign) {
   std::remove(path.c_str());
 }
 
+/// The bundle's event line of journal kind `kind` ("" when absent).
+std::string event_line(const std::string& bundle, const std::string& kind) {
+  const std::size_t at = bundle.find("\"kind\": \"" + kind + "\"");
+  if (at == std::string::npos) return "";
+  const std::size_t begin = bundle.rfind('\n', at) + 1;
+  return bundle.substr(begin, bundle.find('\n', at) - begin);
+}
+
+TEST(FrameEngine, DepthViolationLeavesABundleNamingTheFifo) {
+  obs::Journal journal;
+  const std::string dir = ::testing::TempDir() + "nup_engine_pm_depth";
+  journal.set_postmortem_dir(dir);
+  obs::Registry registry;
+
+  EngineOptions options;
+  options.threads = 1;
+  options.tile_shape = {0, 0};  // one tile covering the whole domain
+  options.metrics = &registry;
+  options.journal = &journal;
+  FrameEngine engine(options);
+
+  // The tile runs the real design, whose FIFO 3 fills exactly to its
+  // designed depth; its telemetry is scored against a copy with that depth
+  // cut by 3, so the run counts as one element-level violation.
+  const stencil::StencilProgram p = stencil::denoise_2d(20, 24);
+  const std::shared_ptr<const TilePlan> plan = engine.plan_for(p);
+  ASSERT_EQ(plan->tiles.size(), 1u);
+  const stencil::StencilProgram& tp = *plan->tiles[0].program;
+  auto entry = std::make_shared<CachedDesign>();
+  entry->design = arch::build_design(tp, options.build);
+  entry->plan = sim::compile_fast_plan(tp, entry->design);
+  const std::int64_t depth = entry->design.systems[0].fifos[3].depth;
+  arch::AcceleratorDesign doctored = entry->design;
+  doctored.systems[0].fifos[3].depth = depth - 3;
+  entry->telemetry = resolve_telemetry(registry, doctored);
+
+  const std::uint64_t id = obs::next_frame_id();
+  SubmitOptions so;
+  so.frame_id = id;
+  so.stage = 1;
+  so.designs = std::make_shared<
+      std::vector<std::shared_ptr<const CachedDesign>>>(1, entry);
+  FrameHandle handle = engine.submit(plan, 5, std::move(so));
+  const FrameResult& result = handle.wait();
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("1 FIFO(s) exceeded their designed depth"),
+            std::string::npos)
+      << result.error;
+
+  const std::string path = find_bundle(dir, "postmortem-depth_violation-");
+  ASSERT_FALSE(path.empty()) << "no depth-violation bundle in " << dir;
+  const std::string bundle = slurp(path);
+  EXPECT_NE(bundle.find("\"reason\": \"depth_violation\""),
+            std::string::npos)
+      << bundle;
+  EXPECT_NE(bundle.find("\"frame\": " + std::to_string(id) +
+                        ",\n  \"stage\": 1,\n  \"tile\": 0"),
+            std::string::npos);
+  EXPECT_NE(bundle.find("\"design\": \"accelerator '"), std::string::npos);
+  EXPECT_NE(bundle.find("\"fifo\": {\"array\": \"A\", \"index\": 3, "
+                        "\"depth\": " +
+                        std::to_string(depth - 3) +
+                        ", \"high_water\": " + std::to_string(depth) +
+                        ", \"word_level\": false}"),
+            std::string::npos)
+      << bundle;
+  // The verdict event names frame, stage, tile, high water and depth.
+  EXPECT_NE(event_line(bundle, "fifo.depth_violation")
+                .find("\"frame\": " + std::to_string(id) +
+                      ", \"stage\": 1, \"tile\": 0, \"a\": " +
+                      std::to_string(depth) +
+                      ", \"b\": " + std::to_string(depth - 3)),
+            std::string::npos)
+      << bundle;
+  EXPECT_NE(bundle.find("\"fifo.depth_violations\":1"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+/// A time-invariant feed whose reads fail: the tile's simulation throws.
+class FailingFeed final : public sim::ExternalFeed {
+ public:
+  bool available(const poly::IntVec&) override { return true; }
+  double read(const poly::IntVec&) override { throw Error("feed lost"); }
+  bool time_invariant() const override { return true; }
+  void read_row(const poly::IntVec&, std::int64_t, double*) override {
+    throw Error("feed lost");
+  }
+};
+
+TEST(FrameEngine, ThrowingFeedLeavesAFrameFailedBundle) {
+  obs::Journal journal;
+  const std::string dir = ::testing::TempDir() + "nup_engine_pm_throw";
+  journal.set_postmortem_dir(dir);
+  obs::Registry registry;
+
+  EngineOptions options;
+  options.threads = 1;
+  options.tile_shape = {0, 0};
+  options.metrics = &registry;
+  options.journal = &journal;
+  FrameEngine engine(options);
+
+  const stencil::StencilProgram p = stencil::denoise_2d(20, 24);
+  const std::uint64_t id = obs::next_frame_id();
+  SubmitOptions so;
+  so.frame_id = id;
+  so.stage = 1;
+  so.feed = [](const Tile&, std::size_t, std::size_t, std::size_t) {
+    return std::make_shared<FailingFeed>();
+  };
+  FrameHandle handle = engine.submit(p, 5, std::move(so));
+  const FrameResult& result = handle.wait();
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("feed lost"), std::string::npos)
+      << result.error;
+
+  const std::string path = find_bundle(dir, "postmortem-frame_failed-");
+  ASSERT_FALSE(path.empty()) << "no frame_failed bundle in " << dir;
+  const std::string bundle = slurp(path);
+  EXPECT_NE(bundle.find("\"reason\": \"frame_failed\""), std::string::npos)
+      << bundle;
+  EXPECT_NE(bundle.find("feed lost"), std::string::npos);
+  EXPECT_NE(bundle.find("\"frame\": " + std::to_string(id) +
+                        ",\n  \"stage\": 1,\n  \"tile\": 0"),
+            std::string::npos);
+  // A thrown tile carries neither a design nor a FIFO, and no verdict.
+  EXPECT_EQ(bundle.find("\"design\": "), std::string::npos) << bundle;
+  EXPECT_EQ(bundle.find("\"fifo\": "), std::string::npos);
+  EXPECT_EQ(event_line(bundle, "fifo.depth_violation"), "");
+  EXPECT_NE(event_line(bundle, "frame.admitted"), "");
+  EXPECT_NE(bundle.find("engine.frames_failed"), std::string::npos);
+  std::remove(path.c_str());
+}
+
 // ---- robustness: backpressure, cancellation, shutdown ------------------
 
 TEST(FrameEngine, BackpressureBoundsQueueDepth) {

@@ -224,6 +224,30 @@ TEST(TemporalRunner, ConvergenceEarlyExitStopsPassesCleanly) {
   EXPECT_EQ(gauge_sum_with_suffix(snap, "buffer_tiles"), 0);
 }
 
+TEST(TemporalRunner, MonitorOnAShrinkingGridMeasuresTheTargetResidual) {
+  // kShrink grows every pass but the last past the target box, so the
+  // monitor restricts each pass output to the target before comparing.
+  // Heat never settles within 1e-12, so all three passes run, and the
+  // last residual is the one between golden generations T and T - B.
+  const stencil::StencilProgram p = stencil::heat_2d(14, 18);
+  const TemporalConfig config{.timesteps = 6, .block = 2,
+                              .boundary = BoundaryPolicy::kShrink};
+  RunnerOptions options = quiet_options();
+  options.tolerance = 1e-12;
+  TemporalRunner runner(p, config, options);
+  const FrameOutcome outcome = runner.run(3);
+  ASSERT_TRUE(outcome.ok()) << outcome.error;
+  EXPECT_FALSE(outcome.converged_early);
+  EXPECT_EQ(outcome.passes_completed, 3);
+  const std::vector<double> golden = run_golden_sweeps(p, config, 3);
+  EXPECT_EQ(outcome.outputs, golden);
+  TemporalConfig earlier = config;
+  earlier.timesteps = config.timesteps - config.block;
+  EXPECT_EQ(outcome.last_residual,
+            max_abs_delta(golden, run_golden_sweeps(p, earlier, 3)));
+  EXPECT_GT(outcome.last_residual, options.tolerance);
+}
+
 TEST(TemporalRunner, ZeroToleranceDisablesTheMonitor) {
   stencil::StencilProgram p("CONST_TWO",
                             poly::Domain::box({1, 1}, {10, 10}));
