@@ -52,6 +52,12 @@ struct FrameCtx {
   /// for external inputs). Freed by the tile's on_tile.
   std::vector<std::vector<std::vector<Slice>>> slices;
 
+  /// Per stage: a sink stage's (no out edges) full-frame outputs, which its
+  /// tiles' on_tile scatter through output_ranks at disjoint ranks;
+  /// assemble() moves them into the result. Empty for every other stage,
+  /// whose outputs only ever live tile by tile in the edge buffers.
+  std::vector<std::vector<double>> sink_outputs;
+
   std::mutex mu;  ///< guards released (handing a tile to its engine)
   std::vector<std::vector<char>> released;  // per (stage, tile)
   std::atomic<bool> aborted{false};
@@ -262,6 +268,14 @@ struct PipelineExecutor::Impl
       std::int64_t expected = -1;
       c.first_us[stage].compare_exchange_strong(expected, us);
       atomic_max(c.last_us[stage], us);
+      std::vector<double>& sink = c.sink_outputs[stage];
+      if (!sink.empty()) {
+        const std::vector<std::int64_t>& ranks =
+            plans[stage]->tiles[tile].output_ranks;
+        for (std::size_t k = 0; k < ranks.size(); ++k) {
+          sink[static_cast<std::size_t>(ranks[k])] = outputs[k];
+        }
+      }
       if (!c.aborted.load(std::memory_order_relaxed)) {
         for (const std::size_t e : graph.stages()[stage].out_edges) {
           c.buffers[e]->admit(tile, outputs);
@@ -379,7 +393,8 @@ struct PipelineExecutor::Impl
     r.seed = c.seed;
     for (std::size_t s = 0; s < c.handles.size(); ++s) {
       const runtime::FrameResult& fr = c.handles[s].wait();
-      r.stages.push_back(fr);
+      r.stages.push_back(fr);  // no output vector: the stage had on_tile
+      r.stages.back().outputs = std::move(c.sink_outputs[s]);
       if (fr.cancelled) r.cancelled = true;
       if (!fr.error.empty() && r.error.empty()) {
         r.error = graph.stages()[s].program.name() + ": " + fr.error;
@@ -433,6 +448,12 @@ const PipelineResult& PipelineHandle::wait() {
   // Executor already gone: shutdown() assembled the result.
   std::lock_guard<std::mutex> lock(ctx_->result_mu);
   return ctx_->result;
+}
+
+PipelineResult PipelineHandle::take() {
+  wait();
+  std::lock_guard<std::mutex> lock(ctx_->result_mu);
+  return std::move(ctx_->result);
 }
 
 bool PipelineHandle::wait_for(std::chrono::milliseconds timeout) {
@@ -519,6 +540,7 @@ PipelineHandle PipelineExecutor::submit(std::uint64_t seed,
         im.placements[edge.consumer]));
   }
   ctx->slices.resize(stages);
+  ctx->sink_outputs.resize(stages);
   ctx->released.resize(stages);
   ctx->first_us = std::vector<std::atomic<std::int64_t>>(stages);
   ctx->last_us = std::vector<std::atomic<std::int64_t>>(stages);
@@ -529,6 +551,10 @@ PipelineHandle PipelineExecutor::submit(std::uint64_t seed,
         im.tiles_per_stage[s],
         std::vector<Slice>(program.inputs().size()));
     ctx->released[s].assign(im.tiles_per_stage[s], 0);
+    if (im.graph.stages()[s].out_edges.empty()) {
+      ctx->sink_outputs[s].assign(
+          static_cast<std::size_t>(im.plans[s]->total_outputs), 0.0);
+    }
     ctx->first_us[s].store(-1, std::memory_order_relaxed);
     ctx->last_us[s].store(-1, std::memory_order_relaxed);
     total_tiles += static_cast<std::int64_t>(im.tiles_per_stage[s]);

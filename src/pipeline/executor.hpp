@@ -111,9 +111,11 @@ struct PipelineResult {
   bool cancelled = false;
   std::string error;  ///< first stage error, prefixed with the stage name
 
-  /// Per-stage frame results, in stage-id order. Outputs of stage k are
-  /// bit-identical to running the stage alone on its stitched inputs;
-  /// sink-stage outputs are the pipeline's results.
+  /// Per-stage frame results, in stage-id order. Only sink stages (no out
+  /// edges) carry `outputs`: the pipeline's results, in full-frame
+  /// lexicographic order, bit-identical to running the chain stage by
+  /// stage. A stage with out edges has empty `outputs`; its values only
+  /// ever live tile by tile in the edge buffers, never as a whole frame.
   std::vector<runtime::FrameResult> stages;
   std::vector<StageTiming> timing;            ///< per stage
   std::vector<StageBuffer::Occupancy> edges;  ///< per edge, frame totals
@@ -133,6 +135,12 @@ class PipelineHandle {
   /// the result; never blocks forever (cancellation and executor shutdown
   /// resolve all stages).
   const PipelineResult& wait();
+
+  /// wait(), then moves the result out of the frame, so the caller owns
+  /// the sink outputs without a copy (the temporal runner hands them to
+  /// the next pass). Call at most once per frame: afterwards wait() on any
+  /// handle to it returns the moved-from result.
+  PipelineResult take();
 
   bool wait_for(std::chrono::milliseconds timeout);
   bool done() const;

@@ -193,13 +193,11 @@ std::size_t StageBuffer::consumer_arena(std::size_t tile_idx) const {
   return static_cast<std::size_t>(consumer_nodes_->node_of[tile_idx]);
 }
 
-void StageBuffer::admit(std::size_t tile_idx, const double* frame_outputs) {
+void StageBuffer::admit(std::size_t tile_idx, const double* tile_outputs) {
   const runtime::Tile& tile = producer_plan_->tiles[tile_idx];
   std::vector<double> slab =
       pool_->take(tile.output_ranks.size(), producer_arena(tile_idx));
-  for (std::size_t k = 0; k < slab.size(); ++k) {
-    slab[k] = frame_outputs[tile.output_ranks[k]];
-  }
+  std::memcpy(slab.data(), tile_outputs, slab.size() * sizeof(double));
 
   std::lock_guard<std::mutex> lock(mu_);
   if (pending_[tile_idx] == 0) {  // no consumer covers (or all skipped)

@@ -145,11 +145,12 @@ class StageBuffer {
   StageBuffer(const StageBuffer&) = delete;
   StageBuffer& operator=(const StageBuffer&) = delete;
 
-  /// Copies producer tile `tile_idx`'s outputs out of the frame vector
-  /// (called from the worker that just wrote them -- only this tile's
-  /// output_ranks entries are read). A tile no consumer covers is dropped
-  /// immediately.
-  void admit(std::size_t tile_idx, const double* frame_outputs);
+  /// Copies producer tile `tile_idx`'s outputs into its slab with one
+  /// copy. `tile_outputs` holds the tile's values in tile order (value k at
+  /// output_ranks[k]), as the engine hands them to on_tile; the slab keeps
+  /// that order, which is the one the stitch plan's slab offsets index. A
+  /// tile no consumer covers is dropped immediately.
+  void admit(std::size_t tile_idx, const double* tile_outputs);
 
   /// Assembles consumer tile `tile_idx`'s input slice from the covering
   /// producer slabs (all admitted by construction) with the planned row

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -23,7 +24,8 @@ namespace nup::runtime {
 namespace detail {
 
 /// Shared state of one submitted frame. Workers write outputs lock-free at
-/// the disjoint ranks the tiler precomputed; the tile countdown
+/// the disjoint ranks the tiler precomputed (frames without an on_tile
+/// hook; the others keep no output vector); the tile countdown
 /// (acquire-release) publishes those writes to whichever worker resolves
 /// the frame, and the result mutex publishes them to waiters.
 struct FrameState {
@@ -540,7 +542,12 @@ struct FrameEngine::Impl {
     journal->dump_postmortem(pm, registry);
   }
 
+  /// Runs one tile. A frame without an on_tile hook gets the outputs
+  /// scattered into its full-frame vector at the tile's output_ranks; a
+  /// frame with one gets them in tile order in `tile_outputs`, the
+  /// calling worker's buffer, reused from tile to tile.
   void run_tile(FrameState& frame, const Tile& tile, std::size_t tile_idx,
+                std::vector<double>& tile_outputs,
                 obs::Counter& worker_busy_us, obs::Counter& worker_tiles) {
     if (frame.cancelled.load(std::memory_order_relaxed)) {
       note_skipped(frame, tile_idx);
@@ -584,18 +591,34 @@ struct FrameEngine::Impl {
           }
         }
       }
-      double* const outputs = frame.result.outputs.data();
-      const std::int64_t* const ranks = tile.output_ranks.data();
       std::size_t k = 0;
-      sim.set_output_sink([outputs, ranks, &k](const poly::IntVec&,
-                                               const double* values,
-                                               std::int64_t n) {
-        const std::int64_t* const block_ranks = ranks + k;
-        for (std::int64_t l = 0; l < n; ++l) {
-          outputs[block_ranks[l]] = values[l];
+      if (frame.options.on_tile) {
+        // Tile order, into the worker's reused buffer: the hook takes the
+        // values from there and the frame keeps no full-frame vector.
+        if (tile_outputs.size() < tile.output_ranks.size()) {
+          tile_outputs.resize(tile.output_ranks.size());
         }
-        k += static_cast<std::size_t>(n);
-      });
+        double* const outputs = tile_outputs.data();
+        sim.set_output_sink([outputs, &k](const poly::IntVec&,
+                                          const double* values,
+                                          std::int64_t n) {
+          std::memcpy(outputs + k, values,
+                      static_cast<std::size_t>(n) * sizeof(double));
+          k += static_cast<std::size_t>(n);
+        });
+      } else {
+        double* const outputs = frame.result.outputs.data();
+        const std::int64_t* const ranks = tile.output_ranks.data();
+        sim.set_output_sink([outputs, ranks, &k](const poly::IntVec&,
+                                                 const double* values,
+                                                 std::int64_t n) {
+          const std::int64_t* const block_ranks = ranks + k;
+          for (std::int64_t l = 0; l < n; ++l) {
+            outputs[block_ranks[l]] = values[l];
+          }
+          k += static_cast<std::size_t>(n);
+        });
+      }
       const sim::SimResult r = sim.run();
       obs::FifoDetail violation;
       const int violations = entry->telemetry.publish(r, &violation);
@@ -635,8 +658,7 @@ struct FrameEngine::Impl {
                     static_cast<std::int64_t>(tile_idx), us,
                     ok ? 1 : 0, jname);
     if (frame.options.on_tile) {
-      frame.options.on_tile(tile_idx,
-                            ok ? frame.result.outputs.data() : nullptr, ok);
+      frame.options.on_tile(tile_idx, ok ? tile_outputs.data() : nullptr, ok);
     }
   }
 
@@ -651,6 +673,7 @@ struct FrameEngine::Impl {
     obs::Counter& worker_tiles = registry->counter(
         prefix + "worker." + std::to_string(worker) + ".tiles");
     const std::size_t nodes = queues.size();
+    std::vector<double> tile_outputs;  // on_tile frames' outputs, reused
     for (;;) {
       Job job;
       bool stolen_job = false;
@@ -691,7 +714,8 @@ struct FrameEngine::Impl {
       not_full.notify_all();
       const Tile& tile = job.frame->plan->tiles[job.tile];
       note_dispatch(node, stolen_job, tile.streamed_elements * 8);
-      run_tile(*job.frame, tile, job.tile, busy_us, worker_tiles);
+      run_tile(*job.frame, tile, job.tile, tile_outputs, busy_us,
+               worker_tiles);
       finish_tiles(*job.frame, 1);
     }
   }
@@ -837,8 +861,10 @@ FrameHandle FrameEngine::submit(std::shared_ptr<const TilePlan> plan,
   frame->result.seed = seed;
   frame->result.tiles_total =
       static_cast<std::int64_t>(plan->tiles.size());
-  frame->result.outputs.assign(
-      static_cast<std::size_t>(plan->total_outputs), 0.0);
+  if (!frame->options.on_tile) {
+    frame->result.outputs.assign(
+        static_cast<std::size_t>(plan->total_outputs), 0.0);
+  }
   frame->remaining.store(static_cast<std::int64_t>(plan->tiles.size()),
                          std::memory_order_relaxed);
   {

@@ -99,13 +99,18 @@ struct SubmitOptions {
       feed;
 
   /// Tile-resolution hook, called in the executing worker thread after the
-  /// tile's outputs are stitched into the frame (ok == true) or after the
-  /// tile was skipped / failed (ok == false). `outputs` points at the
-  /// frame's full output vector; only this tile's output_ranks entries are
-  /// safe to read (other tiles may still be written concurrently). It is
-  /// nullptr for skipped tiles. It runs before the tile is counted done,
-  /// so the frame resolves only after every hook returned. Tiles it
-  /// releases into the same engine never block (see release_tile).
+  /// tile ran (ok == true) or after it was skipped / failed (ok == false).
+  /// Setting it hands the outputs to the hook instead of the frame: the
+  /// frame keeps no full-frame output vector (FrameResult::outputs stays
+  /// empty), and `outputs` points at this tile's Tile::outputs() values in
+  /// tile order -- value k belongs to frame rank output_ranks[k]. They sit
+  /// in the worker's buffer, reused by its next tile, so they are valid
+  /// only until the hook returns; a consumer that keeps them copies them
+  /// (StageBuffer::admit) or scatters them through output_ranks. It is
+  /// nullptr for skipped and failed tiles. It runs before the tile is
+  /// counted done, so the frame resolves only after every hook returned,
+  /// and whatever the hook wrote is visible to the frame's waiters. Tiles
+  /// it releases into the same engine never block (see release_tile).
   std::function<void(std::size_t tile_idx, const double* outputs, bool ok)>
       on_tile;
 
@@ -159,7 +164,8 @@ struct FrameResult {
   std::uint64_t seed = 0;
   /// Kernel outputs in full-frame lexicographic iteration order;
   /// bit-identical to stencil::run_golden(program, seed). Partially filled
-  /// when the frame was cancelled or failed.
+  /// when the frame was cancelled or failed. Empty for a frame submitted
+  /// with an on_tile hook: its outputs went to the hook, tile by tile.
   std::vector<double> outputs;
   bool cancelled = false;
   std::string error;  ///< non-empty when a tile simulation failed

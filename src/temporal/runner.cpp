@@ -30,8 +30,9 @@ struct TemporalRunner::InFlight {
   std::size_t pass = 0;
   std::uint64_t trace_id = 0;  ///< one causal id across all passes
   pipeline::PipelineHandle handle;
-  /// Previous pass output restricted to the target domain, kept only
-  /// while the convergence monitor is on.
+  /// Previous pass output over the target domain, kept only while the
+  /// convergence monitor is on: the very buffer this pass streams as its
+  /// slice when the output box is the target box.
   std::shared_ptr<const std::vector<double>> prev_target;
   double last_residual = -1.0;
 };
@@ -142,7 +143,6 @@ std::vector<double> TemporalRunner::restrict_to_target(
     const poly::IntVec& hi) const {
   const poly::IntVec& tlo = schedule_.domain_lo;
   const poly::IntVec& thi = schedule_.domain_hi;
-  if (lo == tlo && hi == thi) return data;
   // The target box lies inside [lo, hi]: copy it one row at a time,
   // stepping the outer coordinates of the row start `h` like an odometer.
   const std::size_t inner = lo.size() - 1;
@@ -215,7 +215,7 @@ std::vector<FrameOutcome> TemporalRunner::run_frames(
     InFlight f = std::move(in_flight.front());
     in_flight.pop_front();
     FrameOutcome& outcome = outcomes[f.idx];
-    const pipeline::PipelineResult& result = f.handle.wait();
+    pipeline::PipelineResult result = f.handle.take();
     if (!result.ok()) {
       outcome.error = "pass " + std::to_string(f.pass) + ": " +
                       (result.cancelled ? "cancelled" : result.error);
@@ -227,9 +227,14 @@ std::vector<FrameOutcome> TemporalRunner::run_frames(
 
     const PassShape& shape = schedule_.shapes[schedule_.pass_shape[f.pass]];
     const std::size_t sink = shape.graph.stage_count() - 1;
-    const std::vector<double>& out = result.stages[sink].outputs;
+    // The pass output changes hands from here on, never copied whole: it
+    // becomes the next pass's slice, the frame's outputs, or both the
+    // slice and the monitor's previous target.
+    const auto out = std::make_shared<std::vector<double>>(
+        std::move(result.stages[sink].outputs));
     poly::IntVec out_lo, out_hi;
     schedule_.pass_output_box(f.pass, &out_lo, &out_hi);
+    const bool last = f.pass + 1 == num_passes;
 
     c_passes_->inc();
     c_generations_->add(static_cast<std::int64_t>(shape.replicas));
@@ -238,22 +243,26 @@ std::vector<FrameOutcome> TemporalRunner::run_frames(
         schedule_.first_generation[f.pass] +
         static_cast<std::int64_t>(shape.replicas) - 1;
 
-    bool converged = false;
-    std::vector<double> restricted;
-    if (monitor || f.pass + 1 == num_passes) {
-      restricted = restrict_to_target(out, out_lo, out_hi);
+    // The pass output over the target domain: the output itself when the
+    // boxes agree, else a row copy of the target box.
+    std::shared_ptr<std::vector<double>> target = out;
+    if ((monitor || last) && (out_lo != schedule_.domain_lo ||
+                              out_hi != schedule_.domain_hi)) {
+      target = std::make_shared<std::vector<double>>(
+          restrict_to_target(*out, out_lo, out_hi));
     }
+    bool converged = false;
     if (monitor && f.pass > 0) {
-      const double residual = max_abs_delta(restricted, *f.prev_target);
+      const double residual = max_abs_delta(*target, *f.prev_target);
       h_residual_->observe(residual_micro(residual));
       outcome.last_residual = residual;
       f.last_residual = residual;
       converged = residual <= options_.tolerance;
     }
 
-    if (converged || f.pass + 1 == num_passes) {
-      outcome.outputs = std::move(restricted);
-      outcome.converged_early = converged && f.pass + 1 < num_passes;
+    if (converged || last) {
+      outcome.outputs = std::move(*target);
+      outcome.converged_early = converged && !last;
       c_frames_->inc();
       if (outcome.converged_early) {
         c_converged_->inc();
@@ -270,14 +279,9 @@ std::vector<FrameOutcome> TemporalRunner::run_frames(
     next.pass = f.pass + 1;
     next.trace_id = f.trace_id;
     next.last_residual = f.last_residual;
-    if (monitor) {
-      next.prev_target =
-          std::make_shared<const std::vector<double>>(std::move(restricted));
-    }
-    next.handle =
-        submit_pass(outcome.seed, next.pass, next.trace_id,
-                    std::make_shared<const std::vector<double>>(out),
-                    out_lo, out_hi);
+    if (monitor) next.prev_target = target;  // `out` itself on equal boxes
+    next.handle = submit_pass(outcome.seed, next.pass, next.trace_id, out,
+                              out_lo, out_hi);
     in_flight.push_back(std::move(next));
   }
   return outcomes;

@@ -108,7 +108,9 @@ class TemporalRunner {
       const std::shared_ptr<const std::vector<double>>& prev,
       const poly::IntVec& prev_lo, const poly::IntVec& prev_hi);
 
-  /// Restricts a pass output (over box [lo, hi]) to the target domain.
+  /// Copies the target domain out of a pass output over box [lo, hi] that
+  /// strictly contains it; an output over the target box itself is used
+  /// as is, never copied.
   std::vector<double> restrict_to_target(const std::vector<double>& data,
                                          const poly::IntVec& lo,
                                          const poly::IntVec& hi) const;

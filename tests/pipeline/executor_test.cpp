@@ -307,6 +307,78 @@ TEST(PipelineExecutor, OneWorkerFanOutNeverBlocksOnItsOwnQueue) {
   EXPECT_EQ(engine->stats().frames_completed, 3 * 16);
 }
 
+TEST(PipelineExecutor, OnlySinkStagesCarryOutputs) {
+  // A stage with out edges never holds its outputs as a whole frame: they
+  // live tile by tile in the edge buffers, and its FrameResult::outputs
+  // stays empty. Every sink carries its full frame, bit-identical to the
+  // stage-at-a-time reference.
+  PipelineOptions options;
+  options.threads_per_stage = 1;
+  options.tile_shape = {3, 0};
+
+  const std::vector<stencil::StencilProgram> chain = {
+      smoother("S0", 1, 18, 20), smoother("S1", 2, 18, 20),
+      smoother("S2", 3, 18, 20)};
+  PipelineExecutor piped(StageGraph::chain(chain), options);
+  for (const std::uint64_t seed : {4ull, 5ull}) {
+    PipelineHandle handle = piped.submit(seed);
+    const PipelineResult result = handle.take();
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_TRUE(result.stages[0].outputs.empty());
+    EXPECT_TRUE(result.stages[1].outputs.empty());
+    EXPECT_EQ(result.stages[2].outputs, reference_chain(chain, seed));
+  }
+
+  // s0 -> {s1, s2} -> s3(A, B): one sink behind two inner stages.
+  const stencil::StencilProgram src = smoother("SRC", 1, 18, 18);
+  const stencil::StencilProgram left = smoother("L", 2, 18, 18);
+  stencil::StencilProgram right = smoother("R", 2, 18, 18);
+  right.set_weighted_sum({0.3, 0.1, 0.2, 0.1, 0.3});
+  stencil::StencilProgram join("JOIN", poly::Domain::box({3, 3}, {14, 14}));
+  join.add_input("A", {{-1, 0}, {0, 0}, {0, 1}});
+  join.add_input("B", {{0, -1}, {0, 0}, {1, 0}});
+  join.set_kernel(
+      stencil::make_weighted_sum({0.1, 0.2, 0.05, 0.3, 0.25, 0.1}));
+  StageGraph graph;
+  graph.add_stage(src);
+  graph.add_stage(left);
+  graph.add_stage(right);
+  graph.add_stage(join);
+  graph.add_edge(0, 1);
+  graph.add_edge(0, 2);
+  graph.add_edge(1, 3, 0);
+  graph.add_edge(2, 3, 1);
+  PipelineExecutor diamond(std::move(graph), options);
+
+  const std::uint64_t seed = 6;
+  const std::vector<double> branch_a = reference_chain({src, left}, seed);
+  const std::vector<double> branch_b = reference_chain({src, right}, seed);
+  const std::vector<const std::vector<double>*> feeds = {&branch_a,
+                                                         &branch_b};
+  const std::vector<const poly::Domain*> domains = {&left.iteration(),
+                                                    &right.iteration()};
+  std::vector<double> expect;
+  std::vector<double> gathered;
+  join.iteration().for_each([&](const poly::IntVec& i) {
+    gathered.clear();
+    for (std::size_t a = 0; a < join.inputs().size(); ++a) {
+      for (const stencil::ArrayReference& ref : join.inputs()[a].refs) {
+        poly::IntVec h = i;
+        for (std::size_t d = 0; d < h.size(); ++d) h[d] += ref.offset[d];
+        gathered.push_back(
+            (*feeds[a])[static_cast<std::size_t>(domains[a]->lex_rank(h))]);
+      }
+    }
+    expect.push_back(join.kernel()(gathered));
+  });
+  const PipelineResult& result = diamond.submit(seed).wait();
+  ASSERT_TRUE(result.ok()) << result.error;
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_TRUE(result.stages[s].outputs.empty()) << "stage " << s;
+  }
+  EXPECT_EQ(result.stages[3].outputs, expect);
+}
+
 // ---- pipelining behaviour ----------------------------------------------
 
 TEST(PipelineExecutor, StageBuffersRetireInsteadOfHoldingTheFrame) {

@@ -157,6 +157,16 @@ struct EdgeFixture {
       frame[k] = static_cast<double>(k) * 0.5;
     }
   }
+  /// Producer tile `p`'s outputs in tile order (what admit takes),
+  /// gathered from the frame through the tile's output_ranks.
+  std::vector<double> tile_outputs(std::size_t p) const {
+    std::vector<double> out;
+    for (const std::int64_t rank : p0->tiles[p].output_ranks) {
+      out.push_back(frame[static_cast<std::size_t>(rank)]);
+    }
+    return out;
+  }
+
   stencil::StencilProgram s0, s1;
   std::shared_ptr<const runtime::TilePlan> p0, p1;
   std::shared_ptr<const EdgeTileMap> map;
@@ -182,7 +192,7 @@ TEST(StageBufferPool, SlabsRecycleAcrossBufferGenerations) {
     StageBuffer buffer(fx.p0, fx.map, fx.stitch, EdgeMetrics(registry, "gen"),
                        pool);
     for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
-      buffer.admit(p, fx.frame.data());
+      buffer.admit(p, fx.tile_outputs(p).data());
     }
     for (std::size_t c = 0; c < fx.p1->tiles.size(); ++c) {
       Slice slice = buffer.stitch(c);
@@ -209,7 +219,7 @@ TEST(StageBufferPool, SkippedConsumersRetireTheirProducerSlabs) {
                      pool);
 
   for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
-    buffer.admit(p, fx.frame.data());
+    buffer.admit(p, fx.tile_outputs(p).data());
   }
   const std::int64_t resident = buffer.occupancy().tiles;
   ASSERT_GT(resident, 0);
@@ -233,7 +243,7 @@ TEST(StageBufferPool, MixedStitchAndSkipRetiresEverything) {
                      pool);
 
   for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
-    buffer.admit(p, fx.frame.data());
+    buffer.admit(p, fx.tile_outputs(p).data());
   }
   // Odd consumers are served, even consumers skipped (a frame cancelled
   // midway): both paths must decrement the same pending counts.
@@ -261,7 +271,7 @@ TEST(StageBufferPool, SkipBeforeAdmitDropsTheLateSlab) {
     buffer.release_consumer(c);
   }
   for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
-    buffer.admit(p, fx.frame.data());
+    buffer.admit(p, fx.tile_outputs(p).data());
   }
   EXPECT_EQ(buffer.occupancy().tiles, 0);
   EXPECT_EQ(pool->stats().outstanding, 0);
@@ -275,7 +285,7 @@ TEST(StageBufferPool, PrivatePoolWhenNoneIsShared) {
   StageBuffer buffer(fx.p0, fx.map, fx.stitch,
                      EdgeMetrics(registry, "solo"));
   for (std::size_t p = 0; p < fx.p0->tiles.size(); ++p) {
-    buffer.admit(p, fx.frame.data());
+    buffer.admit(p, fx.tile_outputs(p).data());
   }
   for (std::size_t c = 0; c < fx.p1->tiles.size(); ++c) {
     Slice slice = buffer.stitch(c);

@@ -80,6 +80,18 @@ PointSlice point_walk_stitch(const runtime::TilePlan& producer_plan,
   return slice;
 }
 
+/// Producer tile `p`'s outputs in tile order, as the engine hands them to
+/// on_tile and StageBuffer::admit: gathered from the frame vector through
+/// the tile's output_ranks.
+std::vector<double> tile_order(const runtime::TilePlan& plan, std::size_t p,
+                               const std::vector<double>& frame) {
+  std::vector<double> out;
+  for (const std::int64_t rank : plan.tiles[p].output_ranks) {
+    out.push_back(frame[static_cast<std::size_t>(rank)]);
+  }
+  return out;
+}
+
 /// Smallest box holding `domain` (test-sized domains only).
 void bounding_box(const poly::Domain& domain, poly::IntVec* lo,
                   poly::IntVec* hi) {
@@ -144,7 +156,7 @@ void expect_stitch_matches_point_walk(
   obs::Registry registry;
   StageBuffer buffer(p0, map, stitch, EdgeMetrics(registry, "diff"));
   for (std::size_t p = 0; p < p0->tiles.size(); ++p) {
-    buffer.admit(p, frame.data());
+    buffer.admit(p, tile_order(*p0, p, frame).data());
   }
   std::int64_t covered_points = 0;
   for (std::size_t c = 0; c < p1->tiles.size(); ++c) {

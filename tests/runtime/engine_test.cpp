@@ -182,6 +182,101 @@ TEST(FrameEngine, RowAndColumnTiledFramesBitIdenticalToGolden) {
   }
 }
 
+TEST(FrameEngine, OnTileHookGetsEachTilesOutputsInRankOrder) {
+  // A frame with an on_tile hook keeps no full-frame vector: each tile's
+  // outputs reach the hook in tile order, value k at frame rank
+  // output_ranks[k]. The hook copies them out (the buffer is the worker's,
+  // reused by its next tile); gathered back through the ranks they must be
+  // the golden's bits. A plain frame on the same engine still scatters.
+  struct Case {
+    stencil::StencilProgram program;
+    poly::IntVec rows, columns;
+  };
+  // Column tiles stay wide enough that a W = 8 vector fills a row.
+  const std::vector<Case> cases = {
+      {stencil::denoise_2d(24, 32), {5, 0}, {0, 12}},
+      {stencil::sobel_2d(24, 32), {7, 0}, {0, 11}},
+      {stencil::bicubic_2d(12, 48), {3, 0}, {0, 13}},
+      {stencil::denoise_3d(8, 10, 24), {3, 0, 0}, {0, 0, 11}},
+  };
+  for (const std::int64_t width : {1, 8}) {
+    for (const Case& c : cases) {
+      for (const poly::IntVec& shape : {c.rows, c.columns}) {
+        const std::string where = c.program.name() + " W=" +
+                                  std::to_string(width) + " tiles " +
+                                  poly::to_string(shape);
+        EngineOptions options;
+        options.threads = 2;
+        options.tile_shape = shape;
+        options.build.datapath_width = width;
+        FrameEngine engine(options);
+        const std::shared_ptr<const TilePlan> plan =
+            engine.plan_for(c.program);
+        ASSERT_GT(plan->tiles.size(), 1u) << where;
+
+        std::mutex mu;
+        std::vector<std::vector<double>> seen(plan->tiles.size());
+        std::vector<int> calls(plan->tiles.size(), 0);
+        SubmitOptions so;
+        so.on_tile = [&](std::size_t tile, const double* outputs, bool ok) {
+          ASSERT_TRUE(ok) << where << " tile " << tile;
+          ASSERT_NE(outputs, nullptr) << where << " tile " << tile;
+          const std::size_t n = plan->tiles[tile].output_ranks.size();
+          std::lock_guard<std::mutex> lock(mu);
+          ++calls[tile];
+          seen[tile].assign(outputs, outputs + n);
+        };
+        FrameHandle handle = engine.submit(plan, 41, std::move(so));
+        const FrameResult& result = handle.wait();
+        ASSERT_TRUE(result.ok()) << where << ": " << result.error;
+        EXPECT_TRUE(result.outputs.empty()) << where;
+
+        const std::vector<double> golden =
+            stencil::run_golden(c.program, 41).outputs;
+        std::lock_guard<std::mutex> lock(mu);
+        for (std::size_t t = 0; t < plan->tiles.size(); ++t) {
+          ASSERT_EQ(calls[t], 1) << where << " tile " << t;
+          const std::vector<std::int64_t>& ranks =
+              plan->tiles[t].output_ranks;
+          ASSERT_EQ(seen[t].size(), ranks.size()) << where;
+          for (std::size_t k = 0; k < ranks.size(); ++k) {
+            ASSERT_EQ(seen[t][k], golden[static_cast<std::size_t>(ranks[k])])
+                << where << " tile " << t << " output " << k;
+          }
+        }
+        expect_frame_matches_golden(c.program,
+                                    engine.submit(plan, 41).wait());
+      }
+    }
+  }
+}
+
+TEST(FrameEngine, OnTileHookGetsNullForSkippedTiles) {
+  EngineOptions options;
+  options.threads = 1;
+  options.tile_shape = {4, 0};
+  FrameEngine engine(options);
+  const stencil::StencilProgram p = stencil::denoise_2d(24, 32);
+  const std::shared_ptr<const TilePlan> plan = engine.plan_for(p);
+
+  std::atomic<int> skipped{0};
+  SubmitOptions so;
+  so.deferred = true;
+  so.on_tile = [&skipped](std::size_t, const double* outputs, bool ok) {
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(outputs, nullptr);
+    ++skipped;
+  };
+  FrameHandle handle = engine.submit(plan, 5, std::move(so));
+  for (std::size_t t = 0; t < plan->tiles.size(); ++t) {
+    engine.skip_tile(handle, t);
+  }
+  const FrameResult& result = handle.wait();
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_TRUE(result.outputs.empty());
+  EXPECT_EQ(skipped.load(), static_cast<int>(plan->tiles.size()));
+}
+
 TEST(FrameEngine, HundredRandomStencilsMatchGolden) {
   EngineOptions options;
   options.threads = 4;

@@ -248,6 +248,34 @@ TEST(TemporalRunner, MonitorOnAShrinkingGridMeasuresTheTargetResidual) {
   EXPECT_GT(outcome.last_residual, options.tolerance);
 }
 
+TEST(TemporalRunner, MonitorOnTheTargetBoxSharesThePassOutput) {
+  // Clamp keeps every pass output on the target box, so the monitor's
+  // previous target and the next pass's slice are one buffer, never
+  // copied. Heat never settles within 1e-12: all four passes run through
+  // that shared path, the outputs are the golden's, and the last residual
+  // is the one between golden generations 8 and 6.
+  const stencil::StencilProgram p = stencil::heat_2d(14, 18);
+  const TemporalConfig config{.timesteps = 8, .block = 2,
+                              .boundary = BoundaryPolicy::kClamp};
+  RunnerOptions options = quiet_options();
+  options.tolerance = 1e-12;
+  TemporalRunner runner(p, config, options);
+  for (const std::uint64_t seed : {3ull, 4ull}) {
+    const FrameOutcome outcome = runner.run(seed);
+    ASSERT_TRUE(outcome.ok()) << outcome.error;
+    EXPECT_FALSE(outcome.converged_early);
+    EXPECT_EQ(outcome.passes_completed, 4);
+    EXPECT_EQ(outcome.generations_completed, 8);
+    const std::vector<double> golden = run_golden_sweeps(p, config, seed);
+    EXPECT_EQ(outcome.outputs, golden);
+    TemporalConfig earlier = config;
+    earlier.timesteps = 6;
+    EXPECT_EQ(outcome.last_residual,
+              max_abs_delta(golden, run_golden_sweeps(p, earlier, seed)));
+    EXPECT_GT(outcome.last_residual, options.tolerance);
+  }
+}
+
 TEST(TemporalRunner, ZeroToleranceDisablesTheMonitor) {
   stencil::StencilProgram p("CONST_TWO",
                             poly::Domain::box({1, 1}, {10, 10}));

@@ -207,6 +207,8 @@ TEST_F(Stencilcc, TwoStagePipelinePumpsTwoFrames) {
       << r.output;
   EXPECT_NE(r.output.find("served 2 pipelined frames"), std::string::npos)
       << r.output;
+  EXPECT_NE(r.output.find("last frame checksum "), std::string::npos)
+      << r.output;
 }
 
 TEST_F(Stencilcc, TemporalSweepRunsEveryGenerationOfEveryFrame) {
@@ -218,6 +220,10 @@ TEST_F(Stencilcc, TemporalSweepRunsEveryGenerationOfEveryFrame) {
       << r.output;
   EXPECT_NE(r.output.find("swept 2 frames"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find(": 8 generations"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("frame 0 checksum "), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("frame 1 checksum "), std::string::npos)
+      << r.output;
 }
 
 }  // namespace

@@ -697,6 +697,9 @@ int run_pipeline(const std::string& spec, const Cli& cli) {
     }
     std::printf("  frame total %lld us\n",
                 static_cast<long long>(last.total_us));
+    std::printf("  last frame checksum %llu\n",
+                static_cast<unsigned long long>(
+                    serve::output_checksum(last.stages.back().outputs)));
   }
   executor.shutdown();
   return 0;
@@ -767,6 +770,12 @@ int run_temporal(const std::string& source, const Cli& cli) {
     }
     std::printf("  %zu replica designs pinned across %zu executor%s\n",
                 runner.pinned_designs(), shapes, shapes == 1 ? "" : "s");
+    for (const temporal::FrameOutcome& outcome : outcomes) {
+      std::printf("  frame %llu checksum %llu\n",
+                  static_cast<unsigned long long>(outcome.seed),
+                  static_cast<unsigned long long>(
+                      serve::output_checksum(outcome.outputs)));
+    }
   }
   runner.shutdown();
   return 0;
