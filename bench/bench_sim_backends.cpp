@@ -1,10 +1,11 @@
 // Simulator backend comparison: reference (per-token grid points, deque
 // FIFOs, per-cycle polyhedral membership) vs the compiled fast lane
-// (precompiled row programs, flat double ring buffers). Prints measured
-// cycles/sec and the speedup for all six gallery kernels, then runs timed
-// benchmarks on the headline DENOISE 768x1024 configuration. Acceptance
-// target: >= 5x cycles/sec on DENOISE with zero behavioral divergence
-// (the divergence half is enforced by tests/sim/differential_test.cpp).
+// (precompiled row programs, one stream window per chain segment). Prints
+// measured cycles/sec and the speedup for all six gallery kernels, then
+// runs timed benchmarks on the headline DENOISE 768x1024 configuration.
+// Acceptance target: >= 5x cycles/sec on DENOISE with zero behavioral
+// divergence (the divergence half is enforced by
+// tests/sim/differential_test.cpp).
 
 #include <chrono>
 #include <cstdio>

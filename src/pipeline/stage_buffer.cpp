@@ -106,31 +106,60 @@ double BoundaryFeed::read(const poly::IntVec& h) {
 
 void BoundaryFeed::read_row(const poly::IntVec& h, std::int64_t n,
                             double* out) {
+  if (n <= 0) return;
   const std::size_t inner = h.size() - 1;
   bool outer_in_box = true;
   for (std::size_t d = 0; d < inner; ++d) {
     outer_in_box = outer_in_box && h[d] >= lo_[d] && h[d] <= hi_[d];
   }
-  const auto [begin, end] =
-      outer_in_box ? in_box_lanes(h[inner], n, lo_[inner], hi_[inner])
-                   : std::pair<std::int64_t, std::int64_t>{n, n};
-  if (begin == 0 && end == n) {  // every lane in the box: no point to build
-    inner_->read_row(h, n, out);
+  const std::int64_t lo = lo_[inner];
+  const std::int64_t hi = hi_[inner];
+  const std::int64_t first = h[inner];
+  if (outer_in_box && first >= lo && first + n - 1 <= hi) {
+    inner_->read_row(h, n, out);  // every lane in the box: nothing to map
     return;
   }
-  poly::IntVec point = h;
-  const auto read_points = [&](std::int64_t from, std::int64_t to) {
-    for (std::int64_t l = from; l < to; ++l) {
-      point[inner] = h[inner] + l;
-      out[l] = read(point);
-    }
-  };
-  read_points(0, begin);
-  if (end > begin) {
-    point[inner] = h[inner] + begin;
-    inner_->read_row(point, end - begin, out + begin);
+  const bool remaps = policy_ == stencil::BoundaryPolicy::kClamp ||
+                      policy_ == stencil::BoundaryPolicy::kWrap;
+  if (!outer_in_box && !remaps) {
+    std::fill_n(out, n, policy_ == stencil::BoundaryPolicy::kConstant
+                            ? constant_
+                            : 0.0);
+    return;
   }
-  read_points(end, n);
+  // The row's outer coordinates, mapped into the box once; the inner
+  // coordinate is set per span below.
+  poly::IntVec row =
+      outer_in_box ? h : stencil::map_into_box(h, lo_, hi_, policy_);
+  if (policy_ == stencil::BoundaryPolicy::kWrap) {
+    // Every lane maps into the box: one row read per wrapped span.
+    const std::int64_t extent = hi - lo + 1;
+    for (std::int64_t l = 0; l < n;) {
+      std::int64_t r = (first + l - lo) % extent;
+      if (r < 0) r += extent;
+      row[inner] = lo + r;
+      const std::int64_t span = std::min(n - l, extent - r);
+      inner_->read_row(row, span, out + l);
+      l += span;
+    }
+    return;
+  }
+  const auto [begin, end] = in_box_lanes(first, n, lo, hi);
+  if (end > begin) {
+    row[inner] = first + begin;
+    inner_->read_row(row, end - begin, out + begin);
+  }
+  // Lanes past the box edges: one edge read per side under clamp, the
+  // constant or the containment padding otherwise.
+  const auto edge_value = [&](std::int64_t edge) {
+    if (policy_ == stencil::BoundaryPolicy::kClamp) {
+      row[inner] = edge;
+      return inner_->read(row);
+    }
+    return policy_ == stencil::BoundaryPolicy::kConstant ? constant_ : 0.0;
+  };
+  if (begin > 0) std::fill_n(out, begin, edge_value(lo));
+  if (end < n) std::fill(out + end, out + n, edge_value(hi));
 }
 
 EdgeMetrics::EdgeMetrics(obs::Registry& registry, const std::string& label) {

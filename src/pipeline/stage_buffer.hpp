@@ -77,8 +77,11 @@ class BoundaryFeed final : public sim::ExternalFeed {
   std::int64_t available_row(const poly::IntVec&, std::int64_t n) override {
     return n;
   }
-  /// Serves the row's in-box span with one row read of the inner feed; only
-  /// the lanes past the box edges go through the policy point by point.
+  /// Maps the row's outer coordinates into the box once, then serves the
+  /// in-box span with one row read of the inner feed and the lanes past the
+  /// box edges without building a point: one edge read per side under
+  /// clamp, a fill under constant (and the containment policies' padding),
+  /// one row read per wrapped span under wrap.
   void read_row(const poly::IntVec& h, std::int64_t n, double* out) override;
 
  private:

@@ -20,91 +20,54 @@ namespace {
 
 constexpr std::int64_t kNever = kNeverMatches;
 
-/// Longest run of firing cycles one block transfer retires: the lane
-/// buffers hold this many values per kernel reference. A fixed bound, not
-/// an option -- it trades buffer size against per-block overhead and never
-/// changes an observable.
+/// Longest run of cycles one block retires: the kernel output buffer holds
+/// this many values and every stream window keeps this much slack. A fixed
+/// bound, not an option -- it trades buffer size against per-block overhead
+/// and never changes an observable.
 constexpr std::int64_t kMaxRun = 256;
 
 using VecKernelMode = FastPlan::LaneInfo::Mode;
 
-/// Ring buffer of data values only: the point of the token at the head is
-/// recovered from the consumer filter's stream position, so tokens shrink
-/// to one double.
+/// Capacity and occupancy high-water mark of one reuse FIFO. It holds no
+/// values: FIFO k carries exactly the stretch of its segment's stream
+/// between filter k+1's read position and filter k's, so its elements live
+/// in the segment's StreamWindow and its occupancy is
+/// in_pos[k] - in_pos[k+1] (FastSystem::fill; 0 for a cut FIFO).
 struct FastFifo {
-  std::vector<double> values;
-  std::size_t head = 0;
-  std::int64_t count = 0;
   std::int64_t capacity = 0;
   bool cut = false;
   std::int64_t max_fill = 0;
+};
 
-  void init(std::int64_t depth, bool is_cut) {
-    capacity = depth;
-    cut = is_cut;
-    values.assign(static_cast<std::size_t>(std::max<std::int64_t>(depth, 1)),
-                  0.0);
+/// The input stream of one chain segment, held once for all its filters:
+/// ranks [in_pos of the segment's last filter, in_pos of its head) -- the
+/// oldest element a filter still has to consume up to the newest one the
+/// head has read. The storage is linear, so every filter's next R elements
+/// are one contiguous row the kernel reads in place; when the head reaches
+/// the end, the live stretch moves back to the front (at most once per
+/// capacity - live elements, since the live stretch is bounded by the
+/// segment's FIFO capacities).
+struct StreamWindow {
+  std::vector<double> buf;
+  std::int64_t base = 0;  ///< stream rank of buf[0]
+  std::size_t tail = 0;   ///< filter index of the segment's last filter
+
+  const double* at(std::int64_t rank) const {
+    return buf.data() + (rank - base);
   }
 
-  void push(double v) {
-    std::size_t tail = head + static_cast<std::size_t>(count);
-    if (tail >= values.size()) tail -= values.size();
-    values[tail] = v;
-    ++count;
-    if (count > max_fill) max_fill = count;
-  }
-
-  double pop() {
-    const double v = values[head];
-    if (++head == values.size()) head = 0;
-    --count;
-    return v;
-  }
-
-  /// Pops the `n` oldest values into dst (ring-split into at most two
-  /// memcpy segments). Requires n <= count.
-  void pop_block(std::int64_t n, double* dst) {
-    const std::size_t cap = values.size();
-    const std::size_t first =
-        std::min<std::size_t>(static_cast<std::size_t>(n), cap - head);
-    std::memcpy(dst, values.data() + head, first * sizeof(double));
-    std::memcpy(dst + first, values.data(),
-                (static_cast<std::size_t>(n) - first) * sizeof(double));
-    head += static_cast<std::size_t>(n);
-    if (head >= cap) head -= cap;
-    count -= n;
-  }
-
-  /// Pushes `n` values from src. Requires count + n <= capacity. max_fill
-  /// takes the occupancy after the block, the largest of the n scalar
-  /// pushes it stands for: a stall run whose consumer holds fills the FIFO
-  /// this way, one value per cycle.
-  void push_block(const double* src, std::int64_t n) {
-    const std::size_t cap = values.size();
-    std::size_t tail = head + static_cast<std::size_t>(count);
-    if (tail >= cap) tail -= cap;
-    const std::size_t first =
-        std::min<std::size_t>(static_cast<std::size_t>(n), cap - tail);
-    std::memcpy(values.data() + tail, src, first * sizeof(double));
-    std::memcpy(values.data(), src + first,
-                (static_cast<std::size_t>(n) - first) * sizeof(double));
-    count += n;
-    if (count > max_fill) max_fill = count;
-  }
-
-  /// `n` cycles in which the consumer pops one value and then the producer
-  /// pushes upstream[j] (cycle j), as one block: dst receives the
-  /// min(count, n) oldest values followed by the first n - take upstream
-  /// values (pushed at cycle j, popped at cycle j + count), and the FIFO
-  /// keeps the last `take` upstream values. Occupancy never exceeds its
-  /// value entering the block, so max_fill is untouched. Requires
-  /// count >= 1.
-  void relay(const double* upstream, std::int64_t n, double* dst) {
-    const std::int64_t take = std::min(count, n);
-    pop_block(take, dst);
-    std::memcpy(dst + take, upstream,
-                static_cast<std::size_t>(n - take) * sizeof(double));
-    push_block(upstream + (n - take), take);
+  /// Storage for the `n` ranks from `end` on, keeping ranks [live, end).
+  double* make_room(std::int64_t live, std::int64_t end, std::int64_t n) {
+    if (end + n - base > static_cast<std::int64_t>(buf.size())) {
+      const auto keep = static_cast<std::size_t>(end - live);
+      std::memmove(buf.data(), buf.data() + (live - base),
+                   keep * sizeof(double));
+      base = live;
+      if (keep + static_cast<std::size_t>(n) > buf.size()) {
+        buf.resize(2 * (keep + static_cast<std::size_t>(n)));
+      }
+    }
+    return buf.data() + (end - base);
   }
 };
 
@@ -122,7 +85,8 @@ struct FastFilter {
   /// >= R means the next R output points match R consecutive stream
   /// elements, one of the block-run preconditions.
   std::int64_t match_run = 0;
-  int segment = -1;           // feed index when this filter heads a segment
+  std::size_t segment = 0;    // the segment (window, feed) it reads from
+  bool head = false;          // reads the segment's feed, not a FIFO
 
   void reseek() {
     next_match = out.valid() ? scanner.seek(out.point()) : kNever;
@@ -159,34 +123,36 @@ bool aligned_with_iteration(const RowProgram& iter, const RowProgram& out,
 
 // ---------------------------------------------------------------------------
 // Block weighted-sum kernel. All variants evaluate, for every lane l,
-//   out[l] = sum_k weights[k] * lanes[k*width + l]
+//   out[l] = sum_k weights[k] * rows[k][l]
 // in ascending k with one multiply-accumulate per term -- the same
-// per-lane operation sequence as make_weighted_sum's scalar loop. Whether
-// the scalar loop compiled to separate mul+add or to fused fma depends on
-// the build's contraction rules, so compile_fast_plan picks the variant
-// once per plan by probing each candidate against the program's actual
-// KernelFn on random vectors and falls back to the program's block kernel
-// when none is bit-identical. Correctness therefore never depends on
-// compiler flags; only the fast path's speed does.
+// per-lane operation sequence as make_weighted_sum's scalar loop. rows[k]
+// is reference slot k's run of stream elements, read in place from its
+// segment's window. Whether the scalar loop compiled to separate mul+add
+// or to fused fma depends on the build's contraction rules, so
+// compile_fast_plan picks the variant once per plan by probing each
+// candidate against the program's actual KernelFn on random vectors and
+// falls back to the program's block kernel when none is bit-identical.
+// Correctness therefore never depends on compiler flags; only the fast
+// path's speed does.
 
-void weighted_sum_muladd(const double* lanes, const double* weights,
+void weighted_sum_muladd(const double* const* rows, const double* weights,
                          std::size_t refs, std::int64_t width, double* out) {
   for (std::int64_t l = 0; l < width; ++l) {
     double acc = 0.0;
     for (std::size_t k = 0; k < refs; ++k) {
-      const double prod = weights[k] * lanes[k * width + l];
+      const double prod = weights[k] * rows[k][l];
       acc += prod;
     }
     out[l] = acc;
   }
 }
 
-void weighted_sum_fma(const double* lanes, const double* weights,
+void weighted_sum_fma(const double* const* rows, const double* weights,
                       std::size_t refs, std::int64_t width, double* out) {
   for (std::int64_t l = 0; l < width; ++l) {
     double acc = 0.0;
     for (std::size_t k = 0; k < refs; ++k) {
-      acc = std::fma(weights[k], lanes[k * width + l], acc);
+      acc = std::fma(weights[k], rows[k][l], acc);
     }
     out[l] = acc;
   }
@@ -196,14 +162,14 @@ void weighted_sum_fma(const double* lanes, const double* weights,
 /// 4 lanes per iteration with fused multiply-add; remainder lanes use
 /// std::fma so every lane sees the identical fma-contracted sequence.
 __attribute__((target("avx2,fma"))) void weighted_sum_avx2(
-    const double* lanes, const double* weights, std::size_t refs,
+    const double* const* rows, const double* weights, std::size_t refs,
     std::int64_t width, double* out) {
   const std::int64_t vector_end = width - width % 4;
   std::int64_t l = 0;
   for (; l < vector_end; l += 4) {
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t k = 0; k < refs; ++k) {
-      const __m256d v = _mm256_loadu_pd(lanes + k * width + l);
+      const __m256d v = _mm256_loadu_pd(rows[k] + l);
       acc = _mm256_fmadd_pd(_mm256_set1_pd(weights[k]), v, acc);
     }
     _mm256_storeu_pd(out + l, acc);
@@ -211,7 +177,7 @@ __attribute__((target("avx2,fma"))) void weighted_sum_avx2(
   for (; l < width; ++l) {
     double acc = 0.0;
     for (std::size_t k = 0; k < refs; ++k) {
-      acc = std::fma(weights[k], lanes[k * width + l], acc);
+      acc = std::fma(weights[k], rows[k][l], acc);
     }
     out[l] = acc;
   }
@@ -224,20 +190,20 @@ bool avx2_supported() {
 }
 #endif
 
-void run_vec_kernel(VecKernelMode mode, const double* lanes,
+void run_vec_kernel(VecKernelMode mode, const double* const* rows,
                     const double* weights, std::size_t refs,
                     std::int64_t width, double* out) {
   switch (mode) {
 #if NUP_HAVE_AVX2
     case VecKernelMode::kAvx2:
-      weighted_sum_avx2(lanes, weights, refs, width, out);
+      weighted_sum_avx2(rows, weights, refs, width, out);
       return;
 #endif
     case VecKernelMode::kScalarFma:
-      weighted_sum_fma(lanes, weights, refs, width, out);
+      weighted_sum_fma(rows, weights, refs, width, out);
       return;
     default:
-      weighted_sum_muladd(lanes, weights, refs, width, out);
+      weighted_sum_muladd(rows, weights, refs, width, out);
       return;
   }
 }
@@ -270,6 +236,10 @@ VecKernelMode probe_vec_kernel(const stencil::KernelFn& kernel,
     }
     expected[static_cast<std::size_t>(l)] = kernel(values);
   }
+  std::vector<const double*> rows(refs);
+  for (std::size_t k = 0; k < refs; ++k) {
+    rows[k] = lanes.data() + k * static_cast<std::size_t>(probe_lanes);
+  }
   std::vector<double> got(static_cast<std::size_t>(probe_lanes));
   std::vector<VecKernelMode> candidates;
 #if NUP_HAVE_AVX2
@@ -278,7 +248,7 @@ VecKernelMode probe_vec_kernel(const stencil::KernelFn& kernel,
   candidates.push_back(VecKernelMode::kScalarFma);
   candidates.push_back(VecKernelMode::kScalarMulAdd);
   for (VecKernelMode mode : candidates) {
-    run_vec_kernel(mode, lanes.data(), weights.data(), refs, probe_lanes,
+    run_vec_kernel(mode, rows.data(), weights.data(), refs, probe_lanes,
                    got.data());
     if (std::memcmp(got.data(), expected.data(),
                     got.size() * sizeof(double)) == 0) {
@@ -310,17 +280,38 @@ struct FastSystem {
   const arch::MemorySystem* design = nullptr;
   const RowProgram* input_prog = nullptr;  // streamed hull (plan-owned)
   std::vector<std::shared_ptr<ExternalFeed>> feeds;  // one per segment
+  std::vector<StreamWindow> windows;                 // one per segment
   std::vector<FastFifo> fifos;
   std::vector<FastFilter> filters;
-  /// lane_slot[k]: row of filter k's R-element block in the Impl's lane
-  /// matrix = the kernel's reference slot (arrays then refs, source order).
+  /// lane_slot[k]: the kernel's reference slot of filter k (arrays then
+  /// refs, source order) -- where its value goes in the kernel argument.
   std::vector<std::size_t> lane_slot;
 
   // Per-cycle scratch, indexed by filter.
   std::vector<unsigned char> avail;
   std::vector<unsigned char> match;
   std::vector<unsigned char> advance;
-  std::vector<double> moved;  // value consumed by each advancing filter
+
+  /// Occupancy of FIFO k: the stream elements filter k has consumed and
+  /// filter k+1 has not yet.
+  std::int64_t fill(std::size_t k) const {
+    return fifos[k].cut ? 0 : filters[k].in_pos - filters[k + 1].in_pos;
+  }
+
+  /// Takes every FIFO's occupancy into its high-water mark; called after
+  /// each cycle or run in which some FIFO can grow (a filter advances while
+  /// its consumer holds). Firing cycles move every filter together and
+  /// leave every occupancy as it was.
+  void note_fills() {
+    for (std::size_t k = 0; k < fifos.size(); ++k) {
+      fifos[k].max_fill = std::max(fifos[k].max_fill, fill(k));
+    }
+  }
+
+  /// The stream element filter k consumes next.
+  const double* next_value(const FastFilter& filter) const {
+    return windows[filter.segment].at(filter.in_pos);
+  }
 };
 
 }  // namespace
@@ -347,6 +338,7 @@ struct FastSim::Impl {
   std::int64_t stall_cycles = 0;
   std::int64_t last_fire_cycle = 0;
   std::vector<double> gathered;  // kernel argument scratch
+  RowCursor probe;  // served_ahead's scratch walk over a head's stream
 
   // Block execution state (inert when options.vectorize is off).
   std::int64_t width = 1;       ///< micro-cycles per machine cycle (W)
@@ -361,14 +353,20 @@ struct FastSim::Impl {
   /// Read from the program, never the plan: a cached plan is shared by
   /// every kernel of one window shape (SOBEL and JACOBI8_2D, say).
   stencil::BlockKernelFn block_kernel;
-  std::vector<double> lane_vals;  ///< refs x R lane matrix, slot-major
-  std::vector<double> lane_out;   ///< R kernel outputs
+  /// One pointer per reference slot into its segment's window: the R
+  /// values the slot's filter consumes in a firing run.
+  std::vector<const double*> lane_rows;
+  std::vector<double> lane_out;  ///< R kernel outputs
 
   bool done() const { return result.kernel_fires == total_iterations; }
 
   void tick_feeds();
   bool hypothesize(const FastSystem& sys) const;
   void fill_scratch(FastSystem& sys);
+  void read_one(FastSystem& sys, FastFilter& head);
+  void stream_in(FastSystem& sys, FastFilter& head, std::int64_t n);
+  std::int64_t served_ahead(const FastSystem& sys, const FastFilter& head,
+                            std::int64_t n);
   void commit_fire(FastSystem& sys);
   void plan_stalled(FastSystem& sys) const;
   void commit_stalled(FastSystem& sys);
@@ -376,7 +374,7 @@ struct FastSim::Impl {
   void commit_kernel();
   void record_trace(bool fire);
   std::string describe_stall() const;
-  bool fire_run(std::int64_t limit);
+  bool fire_run(std::int64_t limit, bool lead_in);
   bool stall_run(std::int64_t limit);
   bool scalar_cycle();
   bool step();
@@ -463,21 +461,43 @@ FastSim::FastSim(const stencil::StencilProgram& program,
     }
     sys.fifos.resize(ms.fifos.size());
     for (std::size_t k = 0; k < ms.fifos.size(); ++k) {
-      sys.fifos[k].init(ms.fifos[k].depth, ms.fifos[k].cut);
+      sys.fifos[k].capacity = ms.fifos[k].depth;
+      sys.fifos[k].cut = ms.fifos[k].cut;
     }
     const std::vector<std::size_t> heads = ms.segment_heads();
     sys.feeds.resize(heads.size());
+    sys.windows.resize(heads.size());
     for (std::size_t seg = 0; seg < heads.size(); ++seg) {
+      const std::size_t end = seg + 1 < heads.size() ? heads[seg + 1] : n;
+      // The live stretch is at most the segment's FIFO capacities; room for
+      // four times that and a longest run keeps compaction rare.
+      std::int64_t span = 1 + kMaxRun;
+      for (std::size_t k = heads[seg]; k + 1 < end; ++k) {
+        span += sys.fifos[k].capacity;
+        sys.filters[k + 1].segment = seg;
+      }
       FastFilter& head = sys.filters[heads[seg]];
-      head.segment = static_cast<int>(seg);
+      head.segment = seg;
+      head.head = true;
       head.in.reset(*sys.input_prog);
+      sys.windows[seg].tail = end - 1;
+      sys.windows[seg].buf.resize(static_cast<std::size_t>(4 * span));
       sys.feeds[seg] =
           std::make_shared<SyntheticFeed>(options.seed, ms.array_index);
     }
     sys.avail.assign(n, 0);
     sys.match.assign(n, 0);
     sys.advance.assign(n, 0);
-    sys.moved.assign(n, 0.0);
+  }
+
+  // Each filter's kernel reference slot: arrays then refs, source order.
+  std::size_t base = 0;
+  for (FastSystem& sys : im.systems) {
+    sys.lane_slot.resize(sys.filters.size());
+    for (std::size_t k = 0; k < sys.filters.size(); ++k) {
+      sys.lane_slot[k] = base + sys.design->ref_order[k];
+    }
+    base += sys.filters.size();
   }
 
   if (options.vectorize) {
@@ -495,17 +515,7 @@ FastSim::FastSim(const stencil::StencilProgram& program,
     if (im.lanes->mode == VecKernelMode::kPerLane) {
       im.block_kernel = program.block_kernel();
     }
-    const std::size_t refs = program.total_references();
-    std::size_t base = 0;
-    for (std::size_t s = 0; s < im.systems.size(); ++s) {
-      FastSystem& sys = im.systems[s];
-      sys.lane_slot.resize(sys.filters.size());
-      for (std::size_t k = 0; k < sys.filters.size(); ++k) {
-        sys.lane_slot[k] = base + sys.design->ref_order[k];
-      }
-      base += sys.filters.size();
-    }
-    im.lane_vals.resize(refs * static_cast<std::size_t>(im.run_cap));
+    im.lane_rows.resize(program.total_references());
     im.lane_out.resize(static_cast<std::size_t>(im.run_cap));
   }
 
@@ -557,7 +567,9 @@ std::int64_t FastSim::kernel_fires() const {
 }
 
 std::int64_t FastSim::fifo_fill(std::size_t system, std::size_t fifo) const {
-  return impl_->systems.at(system).fifos.at(fifo).count;
+  const FastSystem& sys = impl_->systems.at(system);
+  (void)sys.fifos.at(fifo);  // range check
+  return sys.fill(fifo);
 }
 
 std::int64_t FastSim::last_step_width() const { return impl_->last_width; }
@@ -581,17 +593,16 @@ bool FastSim::Impl::hypothesize(const FastSystem& sys) const {
     const FastFilter& filter = sys.filters[k];
     bool avail = false;
     if (filter.out.is_valid) {  // else: done forwarding
-      if (filter.segment >= 0) {
+      if (filter.head) {
         avail = filter.in.is_valid &&
                 sys.feeds[filter.segment]->available(filter.in.point());
       } else {
-        avail = sys.fifos[k - 1].count > 0;
+        avail = sys.fill(k - 1) > 0;
       }
     }
     bool space = true;
     if (k + 1 < n && !sys.fifos[k].cut) {
-      const FastFifo& fifo = sys.fifos[k];
-      space = fifo.count < fifo.capacity || downstream_advances;
+      space = sys.fill(k) < sys.fifos[k].capacity || downstream_advances;
     }
     const bool advances = avail && space;
     fire = fire && advances && filter.in_pos == filter.next_match;
@@ -609,11 +620,11 @@ void FastSim::Impl::fill_scratch(FastSystem& sys) {
     FastFilter& filter = sys.filters[k];
     bool avail = false;
     if (filter.out.is_valid) {
-      if (filter.segment >= 0) {
+      if (filter.head) {
         avail = filter.in.is_valid &&
                 sys.feeds[filter.segment]->available(filter.in.point());
       } else {
-        avail = sys.fifos[k - 1].count > 0;
+        avail = sys.fill(k - 1) > 0;
       }
     }
     sys.avail[k] = avail ? 1 : 0;
@@ -622,27 +633,70 @@ void FastSim::Impl::fill_scratch(FastSystem& sys) {
   }
 }
 
-/// On a firing cycle every filter consumes and forwards: pops first (so a
-/// full FIFO drained this cycle can accept a push), then pushes, then the
-/// output counters advance past the matched point.
+/// A head's scalar advance: reads its next stream element into the window.
+/// The caller advances in_pos.
+void FastSim::Impl::read_one(FastSystem& sys, FastFilter& head) {
+  StreamWindow& window = sys.windows[head.segment];
+  *window.make_room(sys.filters[window.tail].in_pos, head.in_pos, 1) =
+      sys.feeds[head.segment]->read(head.in.point());
+  head.in.advance();
+}
+
+/// Reads a head's next `n` stream elements into its window, one row query
+/// per input interval they touch, and advances its input counter past them.
+/// The caller advances in_pos -- after every head of the run has read, so
+/// no window moves under a row pointer. Requires served_ahead(head, n) == n
+/// on a time-invariant feed.
+void FastSim::Impl::stream_in(FastSystem& sys, FastFilter& head,
+                              std::int64_t n) {
+  StreamWindow& window = sys.windows[head.segment];
+  double* dst =
+      window.make_room(sys.filters[window.tail].in_pos, head.in_pos, n);
+  ExternalFeed& feed = *sys.feeds[head.segment];
+  while (n > 0) {
+    const std::int64_t m = std::min(n, head.in.remaining_in_interval());
+    feed.read_row(head.in.point(), m, dst);
+    head.in.advance_by(m);
+    dst += m;
+    n -= m;
+  }
+}
+
+/// How many of a head's next `n` stream elements its feed serves now,
+/// across interval and row boundaries: the row queries stop at the first
+/// point the feed lacks or at the end of the stream.
+std::int64_t FastSim::Impl::served_ahead(const FastSystem& sys,
+                                         const FastFilter& head,
+                                         std::int64_t n) {
+  if (n <= 0) return 0;
+  ExternalFeed& feed = *sys.feeds[head.segment];
+  if (n <= head.in.remaining_in_interval()) {
+    return feed.available_row(head.in.point(), n);
+  }
+  probe = head.in;
+  std::int64_t served = 0;
+  while (served < n && probe.is_valid) {
+    const std::int64_t m =
+        std::min(n - served, probe.remaining_in_interval());
+    const std::int64_t ready = feed.available_row(probe.point(), m);
+    served += ready;
+    if (ready < m) break;
+    probe.advance_by(m);
+  }
+  return served;
+}
+
+/// On a firing cycle every filter consumes its next stream element and the
+/// output counters advance past the matched point. A head reads its element
+/// into the window first; every other filter's is already there, since its
+/// FIFO is non-empty.
 void FastSim::Impl::commit_fire(FastSystem& sys) {
-  const std::size_t n = sys.filters.size();
-  for (std::size_t k = 0; k < n; ++k) {
+  for (std::size_t k = 0; k < sys.filters.size(); ++k) {
     sys.advance[k] = 1;
     FastFilter& filter = sys.filters[k];
-    if (filter.segment >= 0) {
-      sys.moved[k] = sys.feeds[filter.segment]->read(filter.in.point());
-      filter.in.advance();
-    } else {
-      sys.moved[k] = sys.fifos[k - 1].pop();
-    }
+    if (filter.head) read_one(sys, filter);
+    gathered[sys.lane_slot[k]] = *sys.next_value(filter);
     ++filter.in_pos;
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    if (k + 1 < n && !sys.fifos[k].cut) {
-      sys.fifos[k].push(sys.moved[k]);
-    }
-    FastFilter& filter = sys.filters[k];
     filter.out.advance();
     filter.reseek();
   }
@@ -657,8 +711,7 @@ void FastSim::Impl::plan_stalled(FastSystem& sys) const {
   for (std::size_t k = n; k-- > 0;) {
     bool space = true;
     if (k + 1 < n && !sys.fifos[k].cut) {
-      const FastFifo& fifo = sys.fifos[k];
-      space = fifo.count < fifo.capacity || downstream_advances;
+      space = sys.fill(k) < sys.fifos[k].capacity || downstream_advances;
     }
     sys.advance[k] =
         (sys.avail[k] != 0 && space && sys.match[k] == 0) ? 1 : 0;
@@ -666,28 +719,17 @@ void FastSim::Impl::plan_stalled(FastSystem& sys) const {
   }
 }
 
-/// Commits one non-firing cycle: the plan_stalled pattern, one value per
-/// advancing filter.
+/// Commits one non-firing cycle: the plan_stalled pattern, one stream
+/// element per advancing filter.
 void FastSim::Impl::commit_stalled(FastSystem& sys) {
-  const std::size_t n = sys.filters.size();
   plan_stalled(sys);
-  for (std::size_t k = 0; k < n; ++k) {
+  for (std::size_t k = 0; k < sys.filters.size(); ++k) {
     if (!sys.advance[k]) continue;
     FastFilter& filter = sys.filters[k];
-    if (filter.segment >= 0) {
-      sys.moved[k] = sys.feeds[filter.segment]->read(filter.in.point());
-      filter.in.advance();
-    } else {
-      sys.moved[k] = sys.fifos[k - 1].pop();
-    }
+    if (filter.head) read_one(sys, filter);
     ++filter.in_pos;
   }
-  for (std::size_t k = 0; k < n; ++k) {
-    if (!sys.advance[k]) continue;
-    if (k + 1 < n && !sys.fifos[k].cut) {
-      sys.fifos[k].push(sys.moved[k]);
-    }
-  }
+  sys.note_fills();
 }
 
 /// On a firing cycle every matching filter's candidate is its output
@@ -713,15 +755,9 @@ void FastSim::Impl::validate_ports() const {
   }
 }
 
+/// One kernel fire over the arguments commit_fire gathered.
 void FastSim::Impl::commit_kernel() {
   const poly::IntVec& i = kernel_cursor.point();
-  std::size_t base = 0;
-  for (const FastSystem& sys : systems) {
-    for (std::size_t k = 0; k < sys.filters.size(); ++k) {
-      gathered[base + sys.design->ref_order[k]] = sys.moved[k];
-    }
-    base += sys.filters.size();
-  }
   const double output = program->kernel()(gathered);
   if (options.record_outputs) result.outputs.push_back(output);
   if (output_sink) output_sink(i, &output, 1);
@@ -747,8 +783,8 @@ void FastSim::Impl::record_trace(bool fire) {
     }
     trace.filters.push_back(status);
   }
-  for (const FastFifo& fifo : sys.fifos) {
-    trace.fifo_fill.push_back(fifo.count);
+  for (std::size_t k = 0; k < sys.fifos.size(); ++k) {
+    trace.fifo_fill.push_back(sys.fill(k));
   }
   result.trace.push_back(std::move(trace));
 }
@@ -772,7 +808,7 @@ std::string FastSim::Impl::describe_stall() const {
     out << "] fifo_fill[";
     for (std::size_t k = 0; k < sys.fifos.size(); ++k) {
       if (k > 0) out << ',';
-      out << sys.fifos[k].count << '/' << sys.fifos[k].capacity;
+      out << sys.fill(k) << '/' << sys.fifos[k].capacity;
     }
     out << "]";
   }
@@ -781,70 +817,79 @@ std::string FastSim::Impl::describe_stall() const {
 
 /// Retires the longest run of firing cycles that qualifies -- at most
 /// `limit`, rounded down to a multiple of the datapath width -- as one
-/// block transfer, or changes nothing and returns false when fewer than W
-/// cycles qualify. A run of R cycles qualifies when every filter of every
-/// chain provably fires on each of them: its match is established and runs
-/// for R consecutive stream ranks, R output points are left in its row
-/// interval, a head has R points left in its input interval from a
-/// time-invariant feed whose row query serves all of them now, a
-/// non-head has a non-empty upstream FIFO (occupancy is invariant across
-/// firing cycles, so one element now means one element on every cycle of
-/// the run); and the kernel cursor has R points left in its interval.
+/// block, together with a lead-in of discard cycles before it when
+/// `lead_in` allows one; or changes nothing and returns false.
 ///
-/// The batched state transition is then exactly R scalar
-/// commit_fire/commit_kernel rounds: each uncut FIFO between firing
-/// filters sees one pop + one push per cycle, and the values a filter
-/// consumes are the FIFO's take = min(count, R) oldest elements followed by
-/// the first R - take values its upstream neighbour consumed this same run
-/// (FastFifo::relay).
-bool FastSim::Impl::fire_run(std::int64_t limit) {
+/// The lead-in is a row end: every filter's match lies the same d >= 1
+/// stream elements ahead and every filter can advance -- a head's feed
+/// serves its next d points across the interval/row boundary, a non-head's
+/// FIFO is non-empty. The next d cycles are then non-firing cycles on
+/// which every filter discards one element (none matches, and every FIFO
+/// keeps its occupancy, so every filter keeps its input and its space),
+/// and the filters reach their matches together. When the firing run after
+/// them does not qualify, fire_run declines and stall_run retires the d
+/// discards as one block instead.
+///
+/// A firing run of R cycles qualifies when every filter of every chain
+/// provably fires on each of them: its match is established and runs for R
+/// consecutive stream ranks, R output points are left in its row interval,
+/// a head's time-invariant feed serves its next R points now, a non-head
+/// has a non-empty upstream FIFO (occupancy is invariant across firing
+/// cycles, so one element now means one element on every cycle of the
+/// run); and the kernel cursor has R points left in its interval.
+///
+/// The batched state transition is then exactly d scalar commit_stalled
+/// rounds followed by R commit_fire/commit_kernel rounds: each head reads
+/// its d + R elements into its segment's window, every filter's in_pos
+/// advances by d + R, and the kernel reads each reference slot's R values
+/// in place -- filter k's are the window ranks [in_pos + d, in_pos + d + R).
+bool FastSim::Impl::fire_run(std::int64_t limit, bool lead_in) {
   if (options.trace_cycles > 0 && cycle < options.trace_cycles) return false;
   if (options.validate && !ports_structurally_valid) return false;
   if (!kernel_cursor.is_valid) return false;
-  std::int64_t n = std::min({limit, options.max_cycles - cycle,
-                             kernel_cursor.remaining_in_interval()});
+  const std::int64_t budget = options.max_cycles - cycle;
+  std::int64_t n = std::min(limit, kernel_cursor.remaining_in_interval());
+  std::int64_t d = -1;
   // Structural bounds first; feed availability is then only queried over
   // the surviving prefix.
   for (const FastSystem& sys : systems) {
     for (std::size_t k = 0; k < sys.filters.size(); ++k) {
-      if (n < width) return false;
       const FastFilter& filter = sys.filters[k];
-      if (!filter.out.is_valid || filter.in_pos != filter.next_match) {
+      if (!filter.out.is_valid || filter.next_match == kNever) return false;
+      const std::int64_t gap = filter.next_match - filter.in_pos;
+      if (d < 0) d = gap;
+      if (gap != d) return false;
+      if (filter.head) {
+        if (!sys.feeds[filter.segment]->time_invariant()) return false;
+      } else if (sys.fill(k - 1) == 0) {
         return false;
       }
       n = std::min({n, filter.match_run, filter.out.remaining_in_interval()});
-      if (filter.segment >= 0) {
-        n = std::min(n, filter.in.remaining_in_interval());  // 0: exhausted
-        if (!sys.feeds[filter.segment]->time_invariant()) return false;
-      } else if (sys.fifos[k - 1].count == 0) {
-        return false;
-      }
     }
   }
+  if (d > 0 && !lead_in) return false;
+  n = std::min(n, budget - d);
   if (n < width) return false;  // an exhausted head has no row to query
   for (const FastSystem& sys : systems) {
     for (const FastFilter& filter : sys.filters) {
-      if (filter.segment < 0) continue;
-      n = sys.feeds[filter.segment]->available_row(filter.in.point(), n);
+      if (filter.head) n = served_ahead(sys, filter, d + n) - d;
     }
   }
   if (n < width) return false;
   n -= n % width;
 
-  const std::int64_t start = cycle;
-  cycle += n;
-  const std::size_t len = static_cast<std::size_t>(n);
+  const std::int64_t start = cycle + d;
+  cycle = start + n;
+  for (FastSystem& sys : systems) {
+    for (FastFilter& filter : sys.filters) {
+      if (filter.head) stream_in(sys, filter, d + n);
+    }
+  }
   for (FastSystem& sys : systems) {
     for (std::size_t k = 0; k < sys.filters.size(); ++k) {
       FastFilter& filter = sys.filters[k];
-      double* block = lane_vals.data() + sys.lane_slot[k] * len;
-      if (filter.segment >= 0) {
-        sys.feeds[filter.segment]->read_row(filter.in.point(), n, block);
-        filter.in.advance_by(n);
-      } else {
-        sys.fifos[k - 1].relay(lane_vals.data() + sys.lane_slot[k - 1] * len,
-                               n, block);
-      }
+      filter.in_pos += d;
+      lane_rows[sys.lane_slot[k]] = sys.next_value(filter);
       filter.in_pos += n;
       filter.out.advance_by(n);
       filter.reseek();
@@ -854,10 +899,10 @@ bool FastSim::Impl::fire_run(std::int64_t limit) {
   // R kernel fires: the vectorized weighted sum when the plan's probe
   // proved it bit-identical, otherwise the program's block kernel.
   if (lanes->mode != VecKernelMode::kPerLane) {
-    run_vec_kernel(lanes->mode, lane_vals.data(), lanes->weights.data(),
+    run_vec_kernel(lanes->mode, lane_rows.data(), lanes->weights.data(),
                    lanes->weights.size(), n, lane_out.data());
   } else {
-    block_kernel(lane_vals.data(), n, lane_out.data());
+    block_kernel(lane_rows.data(), n, lane_out.data());
   }
   if (options.record_outputs) {
     result.outputs.insert(result.outputs.end(), lane_out.begin(),
@@ -868,10 +913,10 @@ bool FastSim::Impl::fire_run(std::int64_t limit) {
   if (result.kernel_fires == 0) result.fill_latency = start + 1;
   result.kernel_fires += n;
   last_fire_cycle = cycle;
-  result.drain_start = cycle;  // every cycle of the run streamed off-chip
+  result.drain_start = cycle;  // every cycle of the block streamed off-chip
   stall_cycles = 0;
-  datapath_cycles += n / width;
-  last_width = n;
+  datapath_cycles += d + n / width;  // a discard is one scalar micro-cycle
+  last_width = d + n;
   return true;
 }
 
@@ -879,21 +924,22 @@ bool FastSim::Impl::fire_run(std::int64_t limit) {
 /// share the advance pattern plan_stalled gives the next cycle, or changes
 /// nothing and returns false when no filter advances on it (a firing or a
 /// no-progress cycle). This is the fill before the first fire and the
-/// halo discards at every row end. The pattern holds for R cycles when
-/// every advancing filter stays unmatched (R <= next_match - in_pos) and
-/// keeps its input -- a head has R points left in its input interval that
-/// its feed serves now, a non-head whose upstream holds has R values in
-/// its FIFO -- and its space: an uncut FIFO whose consumer holds has room
-/// for R more values. A holding filter keeps holding, except one with a
-/// live output that may gain input next cycle (a head without data, an
-/// empty FIFO its upstream fills); then R = 1. Any advancing filter stays
-/// unmatched, so none of the R cycles fires.
+/// discards at a row end that fire_run's lead-in does not take. The
+/// pattern holds for R cycles when every advancing filter stays unmatched
+/// (R <= next_match - in_pos) and keeps its input -- a head's feed serves
+/// its next R points now, across interval and row boundaries, a non-head
+/// whose upstream holds has R elements in its FIFO -- and its space: an
+/// uncut FIFO whose consumer holds has room for R more elements. A holding
+/// filter keeps holding, except one with a live output that may gain input
+/// next cycle (a head without data, an empty FIFO its upstream fills);
+/// then R = 1. Any advancing filter stays unmatched, so none of the R
+/// cycles fires.
 ///
-/// The R cycles then move as blocks: a head reads a row, a filter fed by
-/// an advancing upstream relays through their FIFO like fire_run, one fed
-/// by a holding upstream pops R values, and an advancing filter whose
-/// consumer holds pushes its R values. Feeds must be time-invariant: their
-/// tick() is skipped.
+/// The R cycles then move as one block: an advancing head reads its R
+/// elements into its window and every advancing filter's in_pos moves by
+/// R, which grows the FIFO behind a filter whose consumer holds and drains
+/// the one ahead of a filter whose producer holds. Feeds must be
+/// time-invariant: their tick() is skipped.
 bool FastSim::Impl::stall_run(std::int64_t limit) {
   if (options.trace_cycles > 0 && cycle < options.trace_cycles) return false;
   bool advances = false;
@@ -912,64 +958,54 @@ bool FastSim::Impl::stall_run(std::int64_t limit) {
     const std::size_t count = sys.filters.size();
     for (std::size_t k = 0; k < count; ++k) {
       const FastFilter& filter = sys.filters[k];
-      const bool head = filter.segment >= 0;
       if (!sys.advance[k]) {
         if (filter.out.is_valid &&
-            (head ? sys.avail[k] == 0
-                  : sys.fifos[k - 1].count == 0 && sys.advance[k - 1])) {
+            (filter.head ? sys.avail[k] == 0
+                         : sys.fill(k - 1) == 0 && sys.advance[k - 1])) {
           n = 1;
         }
         continue;
       }
       n = std::min(n, filter.next_match - filter.in_pos);
-      if (head) {
-        n = std::min(n, filter.in.remaining_in_interval());
-      } else if (!sys.advance[k - 1]) {
-        n = std::min(n, sys.fifos[k - 1].count);
+      if (!filter.head && !sys.advance[k - 1]) {
+        n = std::min(n, sys.fill(k - 1));
       }
       if (k + 1 < count && !sys.fifos[k].cut && !sys.advance[k + 1]) {
-        n = std::min(n, sys.fifos[k].capacity - sys.fifos[k].count);
+        n = std::min(n, sys.fifos[k].capacity - sys.fill(k));
       }
     }
   }
   // Every bound is >= 1 for an advancing filter, and an advancing head's
   // first point is available, so n >= 1 throughout.
-  for (FastSystem& sys : systems) {
+  for (const FastSystem& sys : systems) {
     for (std::size_t k = 0; k < sys.filters.size(); ++k) {
-      const FastFilter& filter = sys.filters[k];
-      if (!sys.advance[k] || filter.segment < 0) continue;
-      n = sys.feeds[filter.segment]->available_row(filter.in.point(), n);
+      if (sys.advance[k] && sys.filters[k].head) {
+        n = served_ahead(sys, sys.filters[k], n);
+      }
     }
   }
 
   cycle += n;
-  const std::size_t len = static_cast<std::size_t>(n);
   bool streamed = false;
-  for (std::size_t s = 0; s < systems.size(); ++s) {
-    FastSystem& sys = systems[s];
-    const std::size_t count = sys.filters.size();
-    for (std::size_t k = 0; k < count; ++k) {
-      FastFilter& filter = sys.filters[k];
-      if (!sys.advance[k]) {
-        if (filter.out.is_valid) result.filter_stall_cycles[s][k] += n;
-        continue;
-      }
-      double* block = lane_vals.data() + sys.lane_slot[k] * len;
-      if (filter.segment >= 0) {
-        sys.feeds[filter.segment]->read_row(filter.in.point(), n, block);
-        filter.in.advance_by(n);
+  for (FastSystem& sys : systems) {
+    for (std::size_t k = 0; k < sys.filters.size(); ++k) {
+      if (sys.advance[k] && sys.filters[k].head) {
+        stream_in(sys, sys.filters[k], n);
         streamed = true;
-      } else if (sys.advance[k - 1]) {
-        sys.fifos[k - 1].relay(lane_vals.data() + sys.lane_slot[k - 1] * len,
-                               n, block);
-      } else {
-        sys.fifos[k - 1].pop_block(n, block);
-      }
-      filter.in_pos += n;
-      if (k + 1 < count && !sys.fifos[k].cut && !sys.advance[k + 1]) {
-        sys.fifos[k].push_block(block, n);
       }
     }
+  }
+  for (std::size_t s = 0; s < systems.size(); ++s) {
+    FastSystem& sys = systems[s];
+    for (std::size_t k = 0; k < sys.filters.size(); ++k) {
+      FastFilter& filter = sys.filters[k];
+      if (sys.advance[k]) {
+        filter.in_pos += n;
+      } else if (filter.out.is_valid) {
+        result.filter_stall_cycles[s][k] += n;
+      }
+    }
+    sys.note_fills();
   }
   if (streamed) result.drain_start = cycle;
   stall_cycles = 0;
@@ -1020,7 +1056,7 @@ bool FastSim::Impl::scalar_cycle() {
         if (sys.advance[k]) {
           progress = true;
           consumed_off_chip =
-              consumed_off_chip || sys.filters[k].segment >= 0;
+              consumed_off_chip || sys.filters[k].head;
         } else if (sys.filters[k].out.is_valid) {
           ++result.filter_stall_cycles[s][k];
         }
@@ -1039,7 +1075,7 @@ bool FastSim::Impl::scalar_cycle() {
 }
 
 bool FastSim::Impl::step() {
-  return (run_cap > 0 && (fire_run(width) || stall_run(1))) ||
+  return (run_cap > 0 && (fire_run(width, false) || stall_run(1))) ||
          scalar_cycle();
 }
 
@@ -1049,7 +1085,7 @@ SimResult FastSim::run() {
   Impl& im = *impl_;
   while (!im.done() && im.cycle < im.options.max_cycles) {
     if (im.run_cap == 0 ||
-        !(im.fire_run(im.run_cap) || im.stall_run(im.run_cap))) {
+        !(im.fire_run(im.run_cap, true) || im.stall_run(im.run_cap))) {
       im.scalar_cycle();
     }
     if (im.stall_cycles >= im.options.stall_limit) {

@@ -72,33 +72,39 @@ std::shared_ptr<const FastPlan> compile_fast_plan(
 /// work is compiled away at construction: each filter's domain D_Ax and
 /// each streamed input hull become incremental row programs (precomputed
 /// lexicographic row/interval tables mirroring Fig 10's input and output
-/// counters), and the reuse FIFOs hold flat ring buffers of double values
-/// only -- no heap-allocated grid point ever flows through the chain in
-/// steady state. The candidate point at every filter is recovered from the
-/// invariant that a chain segment carries the segment stream in order, so
-/// a per-filter input counter replaces the per-token points of the
-/// reference backend.
+/// counters). A chain segment carries one input stream in order, so each
+/// segment keeps that stream once, in a window of plain doubles the head
+/// reads its feed into; a filter is only its input counter (in_pos) into
+/// the window, and reuse FIFO k holds exactly the window stretch between
+/// filter k+1's counter and filter k's -- its occupancy is their
+/// difference, and no value is ever copied from one FIFO to the next. No
+/// heap-allocated grid point flows through the chain in steady state: the
+/// candidate point at every filter is its stream rank.
 ///
 /// Steady state is retired in blocks (SimOptions::vectorize, the default):
 /// when every filter of every chain is provably about to fire for R
 /// consecutive cycles -- each match run, output interval, head input
 /// interval and the kernel cursor's interval cover R points, feeds are
 /// time-invariant and serve the next R points now, no traced cycle and no
-/// per-fire port validation is pending -- the R firing cycles move as one
-/// block transfer through the FIFOs and the kernel evaluates R lanes at
-/// once, with an AVX2 inner loop when the host supports it and the
+/// per-fire port validation is pending -- the R firing cycles retire as
+/// one block: each head reads R elements into its window and the kernel
+/// evaluates R lanes at once, reading each reference slot's R values in
+/// place, with an AVX2 inner loop when the host supports it and the
 /// kernel's weighted-sum structure is known, bit-identically to the scalar
 /// path (proved by probing in compile_fast_plan, and continuously by
-/// run_differential). run() takes R up to a fixed lane-buffer bound;
-/// step() takes exactly one machine cycle, R = datapath_width W. R is
-/// always a multiple of W. The cycles that fire nothing -- the fill before
-/// the first fire, the halo discards at every row end -- retire the same
-/// way, one block move per run of cycles with a constant advance pattern
-/// (step() takes one such cycle). Traced cycles, timed feeds, cycles
-/// without progress, firing cycles that validate unproven ports and firing
-/// runs shorter than W take the one-cycle scalar path. Every scalar-cycle
-/// observable (cycles, fires, occupancies, outputs, stalls) is invariant
-/// in R and W; only SimResult::datapath_cycles shrinks with W.
+/// run_differential). run() takes R up to a fixed bound and retires the
+/// halo discards of a row end -- d cycles on which every filter discards
+/// one element -- as the lead-in of the next firing run, in the same
+/// block; step() takes exactly one machine cycle, R = datapath_width W. R
+/// is always a multiple of W. The other cycles that fire nothing -- the
+/// fill before the first fire, row ends whose firing run does not qualify
+/// -- retire the same way, one block per run of cycles with a constant
+/// advance pattern (step() takes one such cycle). Traced cycles, timed
+/// feeds, cycles without progress, firing cycles that validate unproven
+/// ports and firing runs shorter than W take the one-cycle scalar path.
+/// Every scalar-cycle observable (cycles, fires, occupancies, outputs,
+/// stalls) is invariant in R and W; only SimResult::datapath_cycles
+/// shrinks with W.
 class FastSim {
  public:
   FastSim(const stencil::StencilProgram& program,

@@ -49,10 +49,11 @@ StencilProgram rician_2d(std::int64_t rows, std::int64_t cols) {
   // references in order; sqrt(acc). This file is compiled without FMA
   // contraction (src/stencil/CMakeLists.txt), so the product is rounded
   // before the sum in every build and the pinned checksums hold.
-  p.set_block_kernel([](const double* v, std::int64_t n, double* out) {
+  p.set_block_kernel([](const double* const* v, std::int64_t n,
+                        double* out) {
     for (std::int64_t l = 0; l < n; ++l) out[l] = 0.0;
     for (std::int64_t k = 0; k < 4; ++k) {
-      const double* x = v + k * n;
+      const double* x = v[k];
       for (std::int64_t l = 0; l < n; ++l) out[l] += 0.25 * x[l] * x[l];
     }
     for (std::int64_t l = 0; l < n; ++l) out[l] = std::sqrt(out[l]);
@@ -71,15 +72,16 @@ StencilProgram sobel_2d(std::int64_t rows, std::int64_t cols) {
                     {1, -1},
                     {1, 0},
                     {1, 1}});
-  p.set_block_kernel([](const double* v, std::int64_t n, double* out) {
-    const double* v0 = v;
-    const double* v1 = v0 + n;
-    const double* v2 = v1 + n;
-    const double* v3 = v2 + n;
-    const double* v4 = v3 + n;
-    const double* v5 = v4 + n;
-    const double* v6 = v5 + n;
-    const double* v7 = v6 + n;
+  p.set_block_kernel([](const double* const* v, std::int64_t n,
+                        double* out) {
+    const double* v0 = v[0];
+    const double* v1 = v[1];
+    const double* v2 = v[2];
+    const double* v3 = v[3];
+    const double* v4 = v[4];
+    const double* v5 = v[5];
+    const double* v6 = v[6];
+    const double* v7 = v[7];
     for (std::int64_t l = 0; l < n; ++l) {
       const double gx = (v2[l] + 2.0 * v4[l] + v7[l]) -
                         (v0[l] + 2.0 * v3[l] + v5[l]);
@@ -231,13 +233,14 @@ StencilProgram life_2d(std::int64_t rows, std::int64_t cols) {
     for (std::int64_t b = -1; b <= 1; ++b) offsets.push_back({a, b});
   }
   p.add_input("A", std::move(offsets));  // center is slot 4
-  p.set_block_kernel([](const double* v, std::int64_t n, double* out) {
+  p.set_block_kernel([](const double* const* v, std::int64_t n,
+                        double* out) {
     for (std::int64_t l = 0; l < n; ++l) {
       int neighbours = 0;
       for (std::int64_t k = 0; k < 9; ++k) {
-        if (k != 4 && v[k * n + l] > 0.5) ++neighbours;
+        if (k != 4 && v[k][l] > 0.5) ++neighbours;
       }
-      const bool alive = v[4 * n + l] > 0.5;
+      const bool alive = v[4][l] > 0.5;
       out[l] = (neighbours == 3 || (alive && neighbours == 2)) ? 1.0 : 0.0;
     }
   });

@@ -17,6 +17,26 @@ std::string subscript(const std::string& iter_name, std::int64_t offset) {
   return "[" + iter_name + std::to_string(offset) + "]";
 }
 
+/// One lane of a block kernel: `values` holds the lane's refs slot values
+/// in order. Kernels of up to kInlineRefs references -- every gallery
+/// kernel -- build their row pointers on the stack, so the n = 1 call that
+/// golden runs make per point allocates nothing.
+double call_one_lane(const BlockKernelFn& kernel, const double* values,
+                     std::size_t refs) {
+  constexpr std::size_t kInlineRefs = 32;
+  const double* inline_rows[kInlineRefs];
+  std::vector<const double*> heap_rows;
+  const double** rows = inline_rows;
+  if (refs > kInlineRefs) {
+    heap_rows.resize(refs);
+    rows = heap_rows.data();
+  }
+  for (std::size_t k = 0; k < refs; ++k) rows[k] = values + k;
+  double out = 0.0;
+  kernel(rows, 1, &out);
+  return out;
+}
+
 }  // namespace
 
 std::string ArrayReference::to_string(
@@ -119,15 +139,18 @@ void StencilProgram::set_block_kernel(BlockKernelFn kernel) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     v = static_cast<double>(state >> 11) * 0x1.0p-52 - 1.0;  // [-1, 1)
   }
+  std::vector<const double*> rows(refs);
+  for (std::size_t k = 0; k < refs; ++k) {
+    rows[k] = values.data() + k * kProbeLanes;
+  }
   std::vector<double> block(kProbeLanes);
-  kernel(values.data(), kProbeLanes, block.data());
+  kernel(rows.data(), kProbeLanes, block.data());
   std::vector<double> column(refs);
   for (std::size_t l = 0; l < kProbeLanes; ++l) {
     for (std::size_t k = 0; k < refs; ++k) {
       column[k] = values[k * kProbeLanes + l];
     }
-    double single = 0.0;
-    kernel(column.data(), 1, &single);
+    const double single = call_one_lane(kernel, column.data(), refs);
     if (std::memcmp(&single, &block[l], sizeof(double)) != 0) {
       throw Error("set_block_kernel on '" + name_ + "': lane " +
                   std::to_string(l) +
@@ -140,9 +163,7 @@ void StencilProgram::set_block_kernel(BlockKernelFn kernel) {
                   std::to_string(v.size()) + " values for " +
                   std::to_string(refs) + " references");
     }
-    double out = 0.0;
-    kernel(v.data(), 1, &out);
-    return out;
+    return call_one_lane(kernel, v.data(), refs);
   };
   block_ = std::move(kernel);
   weights_.clear();
@@ -190,11 +211,10 @@ std::string StencilProgram::kernel_identity() const {
 BlockKernelFn StencilProgram::block_kernel() const {
   if (block_) return block_;
   return [kernel = kernel(), refs = total_references()](
-             const double* values, std::int64_t n, double* out) {
-    const auto lanes = static_cast<std::size_t>(n);
+             const double* const* rows, std::int64_t n, double* out) {
     std::vector<double> lane(refs);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      for (std::size_t k = 0; k < refs; ++k) lane[k] = values[k * lanes + l];
+    for (std::int64_t l = 0; l < n; ++l) {
+      for (std::size_t k = 0; k < refs; ++k) lane[k] = rows[k][l];
       out[l] = kernel(lane);
     }
   };

@@ -32,16 +32,19 @@ struct InputArray {
 using KernelFn = std::function<double(const std::vector<double>&)>;
 
 /// Block form of a kernel: evaluates `n` iterations ("lanes") in one call.
-/// `values` is the refs x n lane matrix in slot-major order --
-/// `values[k * n + l]` is reference slot k (the KernelFn argument order) of
-/// lane l -- and `out[l]` receives lane l's output. Contract: lane l's output
-/// depends only on column l, and equals bit for bit what the call with
-/// n = 1 on that column returns, whatever n is and wherever lane l sits in
-/// the block. StencilProgram::set_block_kernel checks this once on a probe
+/// `rows[k]` points at the n values of reference slot k (the KernelFn
+/// argument order) -- `rows[k][l]` is slot k of lane l -- and `out[l]`
+/// receives lane l's output. The rows are read in place wherever the
+/// caller keeps them (the fast simulator passes pointers into its stream
+/// windows, so the rows of different slots may overlap), and must not be
+/// written. Contract: lane l's output depends only on the values
+/// rows[0..refs)[l], and equals bit for bit what the call with n = 1 on
+/// those values returns, whatever n is and wherever lane l sits in the
+/// block. StencilProgram::set_block_kernel checks this once on a probe
 /// block, so a loop the compiler vectorizes or contracts (FMA) differently
 /// from its scalar remainder is rejected instead of silently forking bits.
-using BlockKernelFn =
-    std::function<void(const double* values, std::int64_t n, double* out)>;
+using BlockKernelFn = std::function<void(const double* const* rows,
+                                         std::int64_t n, double* out)>;
 
 /// Builds a KernelFn computing sum(weights[k] * values[k]).
 KernelFn make_weighted_sum(std::vector<double> weights);

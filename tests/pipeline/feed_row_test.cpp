@@ -31,7 +31,9 @@ std::uint64_t bits_of(double v) {
 
 /// Row starts around the box [lo, hi]: outer coordinates just outside, on
 /// and inside each face; inner starts far left, straddling the low edge,
-/// inside, straddling the high edge and far right.
+/// inside, straddling the high edge and far right. Every box below is at
+/// most 10 points wide, so the far-left start at n = 30 gives rows that
+/// straddle both edges (and, under wrap, wrap more than once).
 std::vector<poly::IntVec> row_starts(const poly::IntVec& lo,
                                      const poly::IntVec& hi) {
   const std::size_t inner = lo.size() - 1;

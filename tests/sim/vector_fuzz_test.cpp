@@ -610,12 +610,12 @@ TEST(BatchedRun, CopiedProgramsKeepTheBlockKernel) {
                                poly::Domain::box({1, 1}, {22, 30}));
   base.add_input("A", {{-1, 0}, {0, -1}, {0, 0}, {0, 1}, {1, 0}});
   base.set_block_kernel(
-      [block_calls](const double* v, std::int64_t n, double* out) {
+      [block_calls](const double* const* v, std::int64_t n, double* out) {
         if (n > 1) ++*block_calls;
         for (std::int64_t l = 0; l < n; ++l) out[l] = 0.0;
         for (std::int64_t k = 0; k < 5; ++k) {
           for (std::int64_t l = 0; l < n; ++l) {
-            out[l] += std::abs(v[k * n + l] - 0.5);
+            out[l] += std::abs(v[k][l] - 0.5);
           }
         }
       });
@@ -659,7 +659,7 @@ TEST(BatchedRun, W1DenoiseRetiresFewerIterationsThanCycles) {
 TEST(BatchedRun, FillRetiresInRunsNotCycles) {
   // The ~2 rows of fill before the first fire take one run per change of
   // the advance pattern -- a filter reaching its match, a row end, the
-  // lane buffer -- not one iteration per cycle.
+  // run bound -- not one iteration per cycle.
   const stencil::StencilProgram p = stencil::denoise_2d(96, 128);
   const arch::AcceleratorDesign design = widened_design(p, 1);
   const FeedRun run = run_with_feeds(p, design, FeedKind::kInvariant, false);
@@ -671,6 +671,31 @@ TEST(BatchedRun, FillRetiresInRunsNotCycles) {
   EXPECT_LT(run.fill_iterations, 4 * filters)
       << run.fill_iterations << " iterations for a fill of "
       << run.result.fill_latency << " cycles";
+}
+
+TEST(BatchedRun, RowEndRetiresWithTheNextRow) {
+  // Between two rows every filter discards the same two halo elements,
+  // the last of one stream row and the first of the next. run() retires
+  // them as the lead-in of the next row's firing run, so after the fill a
+  // row costs the head two row queries: the old row's tail and the new
+  // row from its first element on. Rows of 32 points keep every firing
+  // run a multiple of W.
+  const std::vector<stencil::StencilProgram> programs = {
+      stencil::heat_2d(24, 34), stencil::denoise_2d(24, 34)};
+  for (const stencil::StencilProgram& p : programs) {
+    for (std::int64_t w : {1, 4}) {
+      const std::string label = p.name() + " W=" + std::to_string(w);
+      const arch::AcceleratorDesign design = widened_design(p, w);
+      const FeedRun run =
+          run_with_feeds(p, design, FeedKind::kInvariant, false);
+      const std::int64_t rows = 24 - 2;
+      EXPECT_FALSE(run.result.deadlocked) << label;
+      EXPECT_EQ(run.result.kernel_fires, rows * 32) << label;
+      EXPECT_LE(run.iterations - run.fill_iterations, 2 * rows)
+          << label << ": " << run.iterations << " queries, "
+          << run.fill_iterations << " of them in the fill";
+    }
+  }
 }
 
 /// Every SimResult field and every FIFO occupancy of run() stopped after

@@ -133,9 +133,9 @@ StencilProgram two_ref_program() {
 
 /// out[l] = v0[l] - 2 * v1[l], counting its calls in `*calls`.
 BlockKernelFn difference_kernel(std::shared_ptr<int> calls) {
-  return [calls](const double* v, std::int64_t n, double* out) {
+  return [calls](const double* const* v, std::int64_t n, double* out) {
     ++*calls;
-    for (std::int64_t l = 0; l < n; ++l) out[l] = v[l] - 2.0 * v[n + l];
+    for (std::int64_t l = 0; l < n; ++l) out[l] = v[0][l] - 2.0 * v[1][l];
   };
 }
 
@@ -149,10 +149,11 @@ TEST(BlockKernel, PointKernelIsTheOneLaneCase) {
   EXPECT_EQ(p.kernel()({5.0, 1.5}), 2.0);
   EXPECT_EQ(*calls, 1);
 
-  // 2 references x 3 lanes, slot-major.
+  // 2 references x 3 lanes, one row per reference.
   const double values[] = {1.0, 2.0, 3.0, 0.5, 0.25, 1.0};
+  const double* rows[] = {values, values + 3};
   double out[3] = {};
-  p.block_kernel()(values, 3, out);
+  p.block_kernel()(rows, 3, out);
   EXPECT_EQ(*calls, 2);  // one call for the whole block
   EXPECT_EQ(out[0], 0.0);
   EXPECT_EQ(out[1], 1.5);
@@ -162,10 +163,10 @@ TEST(BlockKernel, PointKernelIsTheOneLaneCase) {
 TEST(BlockKernel, RejectsABlockCallThatDiffersFromItsLanes) {
   StencilProgram p = two_ref_program();
   // Reads n, so a lane's value depends on the size of its block.
-  EXPECT_THROW(p.set_block_kernel([](const double* v, std::int64_t n,
+  EXPECT_THROW(p.set_block_kernel([](const double* const* v, std::int64_t n,
                                      double* out) {
     for (std::int64_t l = 0; l < n; ++l) {
-      out[l] = v[l] * static_cast<double>(n);
+      out[l] = v[0][l] * static_cast<double>(n);
     }
   }),
                Error);
@@ -197,9 +198,10 @@ TEST(BlockKernel, PointKernelsAndWeightedSumsGetAPerLaneAdapter) {
   StencilProgram defaulted = two_ref_program();
 
   const double values[] = {1.0, 4.0, -2.0, 3.0, 0.5, -1.0};
+  const double* rows[] = {values, values + 3};
   for (const StencilProgram* p : {&opaque, &weighted, &defaulted}) {
     double out[3] = {};
-    p->block_kernel()(values, 3, out);
+    p->block_kernel()(rows, 3, out);
     for (std::size_t l = 0; l < 3; ++l) {
       EXPECT_EQ(out[l], p->kernel()({values[l], values[3 + l]}))
           << p->name() << " lane " << l;
@@ -209,6 +211,7 @@ TEST(BlockKernel, PointKernelsAndWeightedSumsGetAPerLaneAdapter) {
 
 TEST(BlockKernel, SetKernelAndSetWeightedSumClearTheBlockForm) {
   const double values[] = {1.0, 2.0, 3.0, 4.0};
+  const double* rows[] = {values, values + 2};
   double out[2] = {};
   auto calls = std::make_shared<int>(0);
 
@@ -216,7 +219,7 @@ TEST(BlockKernel, SetKernelAndSetWeightedSumClearTheBlockForm) {
   p.set_block_kernel(difference_kernel(calls));
   p.set_weighted_sum({1.0, 1.0});
   *calls = 0;
-  p.block_kernel()(values, 2, out);
+  p.block_kernel()(rows, 2, out);
   EXPECT_EQ(*calls, 0);
   EXPECT_EQ(out[0], 4.0);
   EXPECT_EQ(out[1], 6.0);
@@ -225,7 +228,7 @@ TEST(BlockKernel, SetKernelAndSetWeightedSumClearTheBlockForm) {
   EXPECT_TRUE(p.weighted_sum_weights().empty());
   p.set_kernel([](const std::vector<double>& v) { return v[0] * v[1]; });
   *calls = 0;
-  p.block_kernel()(values, 2, out);
+  p.block_kernel()(rows, 2, out);
   EXPECT_EQ(*calls, 0);
   EXPECT_EQ(out[0], 3.0);
   EXPECT_EQ(out[1], 8.0);
@@ -233,6 +236,7 @@ TEST(BlockKernel, SetKernelAndSetWeightedSumClearTheBlockForm) {
 
 TEST(BlockKernel, CopyKernelFromCarriesEveryForm) {
   const double values[] = {1.0, 2.0, 3.0, 4.0};
+  const double* rows[] = {values, values + 2};
   double out[2] = {};
 
   StencilProgram block_src = two_ref_program();
@@ -241,7 +245,7 @@ TEST(BlockKernel, CopyKernelFromCarriesEveryForm) {
   StencilProgram block_dst = two_ref_program();
   block_dst.copy_kernel_from(block_src);
   *calls = 0;
-  block_dst.block_kernel()(values, 2, out);
+  block_dst.block_kernel()(rows, 2, out);
   EXPECT_EQ(*calls, 1);  // the source's block kernel, called once
   EXPECT_EQ(out[0], -5.0);
   EXPECT_EQ(block_dst.kernel()({3.0, 1.0}), 1.0);

@@ -85,23 +85,23 @@ stencil::StencilProgram random_program(std::uint64_t seed,
     }
     const auto arity = static_cast<std::int64_t>(refs);
     if (rng.next_in(0, 1) == 0) {
-      p.set_block_kernel([w, arity](const double* v, std::int64_t n,
+      p.set_block_kernel([w, arity](const double* const* v, std::int64_t n,
                                     double* out) {
         for (std::int64_t l = 0; l < n; ++l) out[l] = 0.0;
         for (std::int64_t k = 0; k < arity; ++k) {
-          const double* x = v + k * n;
+          const double* x = v[k];
           for (std::int64_t l = 0; l < n; ++l) out[l] += w[k] * x[l] * x[l];
         }
         for (std::int64_t l = 0; l < n; ++l) out[l] = std::sqrt(out[l]);
       });
     } else {
-      p.set_block_kernel([w, arity](const double* v, std::int64_t n,
+      p.set_block_kernel([w, arity](const double* const* v, std::int64_t n,
                                     double* out) {
         for (std::int64_t l = 0; l < n; ++l) out[l] = 0.0;
         for (std::int64_t k = 1; k < arity; ++k) {
-          const double* x = v + k * n;
+          const double* x = v[k];
           for (std::int64_t l = 0; l < n; ++l) {
-            out[l] += w[k] * std::abs(x[l] - v[l]);
+            out[l] += w[k] * std::abs(x[l] - v[0][l]);
           }
         }
       });
